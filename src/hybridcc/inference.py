@@ -31,21 +31,17 @@ __all__ = ["ICAConfig", "WvrnConfig", "ica", "wvrn_rl"]
 
 @dataclass(frozen=True)
 class ICAConfig:
-    """Iteration budget and tie handling for iterative classification.
+    """Iteration budget for iterative classification.
 
     The loop always runs exactly ``iterations`` rounds; there is no early
     convergence exit, so two runs from the same bootstrap are identical.
-    Ties in the per-node argmax go to the lowest class index.
     """
 
     iterations: int = 10
-    tie_break: str = "lowest-index"
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.tie_break != "lowest-index":
-            raise ValueError("tie_break must be 'lowest-index'")
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,8 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
     receives the argmax of its bootstrap distribution, then each of the
     ``config.iterations`` rounds recomputes both relational feature kinds
     from the complete current labeling and reassigns every unknown node
-    synchronously (all predictions use the round's incoming labels).
+    synchronously (all predictions use the round's incoming labels). Ties
+    in the per-node argmax go to the lowest class index.
     """
     if config is None:
         config = ICAConfig()

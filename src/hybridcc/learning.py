@@ -249,8 +249,8 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
     return HybridModel(attribute_model=attr_model, relational_model=rel_model, prior=prior)
 
 
-def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
-              rng_seed: int = 0, *, ica_config: ICAConfig | None = None,
+def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
+              ica_config: ICAConfig | None = None,
               diagnostics: dict | None = None) -> LabelState:
     """Run the generic semi-supervised loop and return the final labeling.
 
@@ -259,10 +259,8 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
     iteration recomputes relational features from the current labeling,
     trains the node classifier on all nodes or on the supervised nodes per
     ``variant.learn_from_all``, and replaces the unknown labels with a
-    fresh collective-inference pass. Every step is deterministic;
-    ``rng_seed`` is accepted for harness interface uniformity but unused.
+    fresh collective-inference pass. Every step is deterministic.
     """
-    del rng_seed
     _require_known(graph)
     if ica_config is None:
         ica_config = ICAConfig()
@@ -287,7 +285,7 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
     return state
 
 
-def no_ssl(graph: DataGraph, spec: ClassifierSpec, rng_seed: int = 0, *,
+def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
            ica_config: ICAConfig | None = None,
            diagnostics: dict | None = None) -> LabelState:
     """Train without unlabeled data, then run collective inference once.
@@ -300,7 +298,6 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, rng_seed: int = 0, *,
     runs over the whole graph, so unlabeled nodes enter at prediction time
     only.
     """
-    del rng_seed
     _require_known(graph)
     if ica_config is None:
         ica_config = ICAConfig()
@@ -317,9 +314,8 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, rng_seed: int = 0, *,
     return ica(graph, m_a, node_model, ica_config)
 
 
-def attr_only(graph: DataGraph, spec: ClassifierSpec, rng_seed: int = 0) -> LabelState:
+def attr_only(graph: DataGraph, spec: ClassifierSpec) -> LabelState:
     """One-shot attribute-only prediction; no relational features, no loop."""
-    del rng_seed
     _require_known(graph)
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes

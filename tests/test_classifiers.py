@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,11 +56,22 @@ def test_lr_regularization_shrinks_weights():
     assert np.linalg.norm(tight.weights[:, :-1]) < np.linalg.norm(loose.weights[:, :-1])
 
 
-def test_lr_train_warns_when_iteration_cap_hits():
+def _label_reg_on_same_rows(X, y, sigma_sq, max_iter):
+    """Fit through ``lr_train_label_reg``, reusing the rows as the unlabeled set."""
+    cfg = LabelRegConfig(target_dist=np.full(2, 0.5), lam=1.0)
+    return lr_train_label_reg(X, y, None, X, None, cfg, sigma_sq, max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "train", [lr_train, _label_reg_on_same_rows], ids=["lr_train", "label_reg"]
+)
+def test_lr_train_warns_when_iteration_cap_hits(train):
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
     with pytest.warns(ConvergenceWarning):
-        lr_train(X, y, sigma_sq=1e6, max_iter=3)
+        model = train(X, y, sigma_sq=1e6, max_iter=3)
+    assert model.converged is False
+    assert model.n_iter <= 3
 
 
 def test_lr_handles_class_absent_from_training():
@@ -334,3 +346,163 @@ def test_reg_training_is_deterministic():
     a = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
     b = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
     assert np.array_equal(a.weights, b.weights)
+
+
+# ---------------------------------------------------- optimizer quality gate
+
+# Acceptance test 6 (all-em, 1% density): the attribute member's five known
+# rows all carry class 1, so the unpenalized bias has no finite optimum.
+ACC6_KNOWN_ROWS = np.array([
+    [-2.073418469051521, 1.0326536086942986],
+    [0.6256057647570874, 0.4326642945453096],
+    [-0.6417702807011042, 0.6145704962008918],
+    [0.343203523005081, 0.913515988315609],
+    [-0.6036427001135478, 1.1849809626486598],
+])
+
+# The relational member of the same run over all 500 nodes, as
+# (k, degree, label, rows): ``rows`` nodes of that degree and label with k
+# class-0 neighbors, whose features are (k/degree, (degree-k)/degree). The
+# two features always sum to 1, which leaves the fit badly conditioned.
+ACC6_PROPORTIONS = (
+    (0, 1, 0, 9), (0, 1, 1, 115), (1, 2, 1, 5), (1, 3, 0, 2), (1, 3, 1, 10),
+    (1, 4, 0, 4), (1, 4, 1, 21), (1, 5, 0, 7), (1, 5, 1, 14), (2, 5, 0, 1),
+    (2, 5, 1, 1), (1, 6, 0, 3), (1, 6, 1, 19), (1, 7, 0, 1), (1, 7, 1, 16),
+    (2, 7, 0, 2), (2, 7, 1, 12), (3, 7, 0, 1), (3, 7, 1, 1), (4, 7, 0, 1),
+    (4, 7, 1, 1), (1, 8, 0, 3), (1, 8, 1, 15), (3, 8, 1, 3), (1, 9, 0, 3),
+    (1, 9, 1, 12), (2, 9, 0, 4), (2, 9, 1, 7), (4, 9, 1, 1), (1, 10, 0, 4),
+    (1, 10, 1, 10), (3, 10, 0, 1), (3, 10, 1, 2), (1, 11, 1, 14), (2, 11, 0, 3),
+    (2, 11, 1, 15), (3, 11, 0, 1), (3, 11, 1, 6), (4, 11, 0, 1), (4, 11, 1, 3),
+    (5, 11, 1, 1), (6, 11, 1, 1), (7, 11, 1, 1), (1, 12, 1, 12), (5, 12, 1, 2),
+    (1, 13, 0, 1), (1, 13, 1, 13), (2, 13, 0, 2), (2, 13, 1, 10), (3, 13, 1, 5),
+    (4, 13, 0, 3), (4, 13, 1, 6), (5, 13, 0, 2), (5, 13, 1, 1), (6, 13, 1, 1),
+    (7, 13, 1, 1), (1, 14, 1, 10), (3, 14, 0, 3), (3, 14, 1, 3), (5, 14, 1, 2),
+    (1, 15, 0, 1), (1, 15, 1, 8), (2, 15, 0, 2), (2, 15, 1, 4), (4, 15, 0, 2),
+    (4, 15, 1, 4), (7, 15, 1, 1), (1, 16, 0, 2), (1, 16, 1, 8), (3, 16, 0, 1),
+    (3, 16, 1, 3), (5, 16, 1, 2), (1, 17, 1, 2), (2, 17, 0, 1), (2, 17, 1, 3),
+    (4, 17, 1, 2), (5, 17, 1, 1), (6, 17, 1, 1), (8, 17, 1, 1), (1, 18, 0, 1),
+    (1, 18, 1, 5), (5, 18, 1, 1), (7, 18, 0, 1), (1, 19, 1, 2), (2, 19, 1, 2),
+    (3, 19, 1, 2), (7, 20, 1, 1), (5, 21, 0, 1), (6, 25, 1, 1),
+)
+
+
+def _noisy_linear_labels(rng, X, c):
+    return np.argmax(X @ rng.normal(size=(X.shape[1], c)) + rng.gumbel(size=(len(X), c)), axis=1)
+
+
+def _gate_lr_small():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] + 0.5 * rng.normal(size=40) > 0).astype(int)
+    return lr_train, dict(features=X, labels=y, sigma_sq=1.0)
+
+
+def _gate_lr_sigma100():
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 5))
+    return lr_train, dict(features=X, labels=_noisy_linear_labels(rng, X, 3), sigma_sq=100.0)
+
+
+def _gate_acc6_known_rows():
+    y = np.ones(5, dtype=int)
+    return lr_train, dict(features=ACC6_KNOWN_ROWS, labels=y, sigma_sq=1.0, n_classes=2)
+
+
+def _gate_acc6_proportions():
+    X, y = [], []
+    for k, degree, label, rows in ACC6_PROPORTIONS:
+        X += [[k / degree, (degree - k) / degree]] * rows
+        y += [label] * rows
+    return lr_train, dict(features=np.array(X), labels=np.array(y), sigma_sq=1.0, n_classes=2)
+
+
+def _gate_reg_em_shaped():
+    """All-em at 20 known of 300 nodes: every node trains, 280 are unlabeled."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(300, 20))
+    y = _noisy_linear_labels(rng, X, 3)
+    beta = rng.uniform(0.2, 5.0, size=(300, 3))
+    cfg = LabelRegConfig(target_dist=np.array([0.5, 0.3, 0.2]), lam=200.0)
+    return lr_train_label_reg, dict(
+        known_features=X, known_labels=y, known_beta=beta,
+        unlabeled_features=X[20:], unlabeled_beta=beta[20:], config=cfg, sigma_sq=1.0,
+    )
+
+
+def _gate_reg_plain_likelihood():
+    Xk, yk, Xu, beta_k, beta_u = _reg_instance(seed=9)
+    cfg = LabelRegConfig(target_dist=np.array([0.6, 0.3, 0.1]), lam=5.0)
+    return lr_train_label_reg, dict(
+        known_features=Xk, known_labels=yk, known_beta=beta_k,
+        unlabeled_features=Xu, unlabeled_beta=beta_u, config=cfg, sigma_sq=1.0,
+        beta_weighted_likelihood=False,
+    )
+
+
+def _gate_reg_sigma100():
+    Xk, yk, Xu, beta_k, beta_u = _reg_instance(seed=21, n_known=30, n_unl=80)
+    cfg = LabelRegConfig(target_dist=np.full(3, 1 / 3), lam=2.0)
+    return lr_train_label_reg, dict(
+        known_features=Xk, known_labels=yk, known_beta=beta_k,
+        unlabeled_features=Xu, unlabeled_beta=beta_u, config=cfg, sigma_sq=100.0,
+    )
+
+
+GATE_PROBLEMS = {
+    "lr-small": _gate_lr_small,
+    "lr-sigma100": _gate_lr_sigma100,
+    "lr-acc6-known-rows": _gate_acc6_known_rows,
+    "lr-acc6-proportions": _gate_acc6_proportions,
+    "reg-em-shaped": _gate_reg_em_shaped,
+    "reg-plain-likelihood": _gate_reg_plain_likelihood,
+    "reg-sigma100": _gate_reg_sigma100,
+}
+
+# The objective each problem reached under the previous optimizer
+# (backtracking gradient ascent, 500-step cap), evaluated by
+# ``_penalized_objective``.
+PREVIOUS_OBJECTIVE = {
+    "lr-small": -11.603445034138275,
+    "lr-sigma100": -43.19033823357628,
+    "lr-acc6-known-rows": -0.0006169384631444921,  # stopped at the step cap
+    "lr-acc6-proportions": -206.20188182211322,  # stopped at the step cap
+    "reg-em-shaped": -99.59921853682533,
+    "reg-plain-likelihood": -9.344057778995499,
+    "reg-sigma100": -25.419343539605826,
+}
+
+
+def _penalized_objective(weights, train, kwargs):
+    """Reference objective: log likelihood - Gaussian penalty - lam * KL."""
+    sigma_sq = kwargs["sigma_sq"]
+    gaussian = float(np.sum(weights[:, :-1] ** 2)) / (2.0 * sigma_sq)
+
+    def log_likelihood(X, y, log_beta=None):
+        logits = np.hstack([X, np.ones((len(X), 1))]) @ weights.T
+        if log_beta is not None:
+            logits = logits + log_beta
+        logp = logits - logsumexp(logits, axis=1, keepdims=True)
+        return float(logp[np.arange(len(y)), y].sum())
+
+    if train is lr_train:
+        return log_likelihood(kwargs["features"], kwargs["labels"]) - gaussian
+    cfg = kwargs["config"]
+    log_beta = None
+    if kwargs.get("beta_weighted_likelihood", True):
+        log_beta = np.log(kwargs["known_beta"])
+    mean_pred = empirical_label_distribution(
+        make_lr(weights), kwargs["unlabeled_features"], beta=kwargs["unlabeled_beta"]
+    )
+    kl = kl_penalty(cfg.target_dist, mean_pred, cfg.epsilon_floor)
+    return (log_likelihood(kwargs["known_features"], kwargs["known_labels"], log_beta)
+            - gaussian - cfg.lam * kl)
+
+
+@pytest.mark.parametrize("name", list(GATE_PROBLEMS))
+def test_objective_reaches_previous_optimum(name):
+    train, kwargs = GATE_PROBLEMS[name]()
+    model = train(**kwargs)
+    old = PREVIOUS_OBJECTIVE[name]
+    new = _penalized_objective(model.weights, train, kwargs)
+    assert model.converged
+    assert new >= old - 1e-6 * max(1.0, abs(old))

@@ -13,8 +13,6 @@ from hybridcc.synthetic import synthetic_graph
 def test_ica_config_validation():
     with pytest.raises(ValueError):
         ICAConfig(iterations=0)
-    with pytest.raises(ValueError):
-        ICAConfig(tie_break="random")
 
 
 def test_wvrn_config_validation():
