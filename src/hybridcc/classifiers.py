@@ -13,7 +13,8 @@ Three building blocks:
   and a relational posterior that were trained separately,
   ``p(y|x) ∝ p(y|x_attr) * p(y|x_rel) / p(y)``.
 
-All products of probabilities are evaluated in log space.
+The members hand the combiner log posteriors, which it sums under one
+log-softmax; probabilities are exponentiated once, on the way out.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "nb_relational_train",
     "nb_relational_predict",
     "hybrid_combine",
+    "relational_log_proba",
     "empirical_label_distribution",
     "kl_penalty",
     "label_reg_gradient",
@@ -141,11 +143,11 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _proba(weights, Xb, log_beta=None):
+def _log_proba(weights, Xb, log_beta=None):
     logits = Xb @ weights.T
     if log_beta is not None:
         logits = logits + log_beta
-    return np.exp(_log_softmax(logits))
+    return _log_softmax(logits)
 
 
 def _log_beta_of(beta, n, n_classes, name="beta"):
@@ -178,10 +180,7 @@ def _fit(Xb, labels, n_classes, sigma_sq, max_iter, name, log_beta=None, penalty
 
     def negated(flat):
         theta = flat.reshape(shape)
-        logits = Xb @ theta.T
-        if log_beta is not None:
-            logits = logits + log_beta
-        logp = _log_softmax(logits)
+        logp = _log_proba(theta, Xb, log_beta)
         value = logp[rows, labels].sum()
         value -= float(np.sum(theta[:, :-1] ** 2)) / (2.0 * sigma_sq)
         grad = (onehot - np.exp(logp)).T @ Xb
@@ -246,20 +245,19 @@ def lr_train(features, labels, sigma_sq, n_classes=None,
     return _fit(_with_bias(X), labels, n_classes, sigma_sq, max_iter, "logistic regression")
 
 
-def lr_predict_proba(model: LRModel, x) -> np.ndarray:
-    """Class distribution(s) for one feature vector or a matrix of rows.
+def _lr_log_proba(model: LRModel, X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.feature_dim:
+        raise ValueError(f"expected {model.feature_dim} feature columns, got shape {X.shape}")
+    return _log_proba(model.weights, _with_bias(X))
+
+
+def lr_predict_proba(model: LRModel, X) -> np.ndarray:
+    """Class distributions for a matrix of feature rows.
 
     Stabilized softmax of the linear scores; rows sum to 1.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.feature_dim:
-        raise ValueError(
-            f"expected {model.feature_dim} features, got {X.shape[1]}"
-        )
-    proba = _proba(model.weights, _with_bias(X))
-    return proba[0] if single else proba
+    return np.exp(_lr_log_proba(model, X))
 
 
 def nb_relational_train(counts, labels, alpha, n_classes=None) -> NBRelationalModel:
@@ -297,48 +295,54 @@ def nb_relational_train(counts, labels, alpha, n_classes=None) -> NBRelationalMo
     )
 
 
+def _nb_log_posterior(model: NBRelationalModel, counts) -> np.ndarray:
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 2 or counts.shape[1] != model.n_classes:
+        raise ValueError("counts must be a matrix with one column per class")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    return _log_softmax(counts @ np.log(model.neighbor_table).T + np.log(model.class_prior))
+
+
 def nb_relational_predict(model: NBRelationalModel, counts) -> np.ndarray:
-    """Posterior over classes given neighbor-label counts.
+    """Posterior over classes for each row of neighbor-label counts.
 
     Each of the ``counts[c]`` neighbors labeled ``c`` contributes one factor
     ``neighbor_table[y, c]`` to class ``y``'s score; the products are
     accumulated in log space and normalized. All-zero counts return the
     class prior exactly.
     """
-    counts = np.asarray(counts, dtype=float)
-    single = counts.ndim == 1
-    C2 = np.atleast_2d(counts)
-    if C2.shape[1] != model.n_classes:
-        raise ValueError("counts must have one column per class")
-    if np.any(C2 < 0):
-        raise ValueError("counts must be non-negative")
-    log_post = C2 @ np.log(model.neighbor_table).T + np.log(model.class_prior)
-    proba = np.exp(_log_softmax(log_post))
-    return proba[0] if single else proba
+    return np.exp(_nb_log_posterior(model, counts))
 
 
-def hybrid_combine(p_attr, p_rel, prior) -> np.ndarray:
+def relational_log_proba(model, proportions, counts) -> np.ndarray:
+    """Log posterior of a relational member on its own input.
+
+    A Naive Bayes member reads the neighbor-label ``counts``; a logistic
+    regression member reads the neighbor-label ``proportions``.
+    """
+    if isinstance(model, NBRelationalModel):
+        return _nb_log_posterior(model, counts)
+    return _lr_log_proba(model, proportions)
+
+
+def hybrid_combine(log_p_attr, log_p_rel, prior) -> np.ndarray:
     """Merge two posteriors trained on disjoint feature views.
 
     Implements the product rule ``p(y|x) ∝ p(y|x_attr) p(y|x_rel) / p(y)``,
     which is exact when the two feature views are conditionally independent
-    given the class. Accepts single distributions or row-aligned matrices;
-    computed in log space and renormalized.
+    given the class. Takes row-aligned (rows x classes) log posteriors and
+    returns probabilities, normalized by one log-softmax.
     """
-    p_attr = np.asarray(p_attr, dtype=float)
-    p_rel = np.asarray(p_rel, dtype=float)
+    log_p_attr = np.asarray(log_p_attr, dtype=float)
+    log_p_rel = np.asarray(log_p_rel, dtype=float)
     prior = np.asarray(prior, dtype=float)
     if np.any(prior <= 0):
         raise ValueError("prior entries must be strictly positive")
-    single = p_attr.ndim == 1 and p_rel.ndim == 1
-    A = np.atleast_2d(p_attr)
-    R = np.atleast_2d(p_rel)
-    if A.shape != R.shape or A.shape[1] != prior.size:
+    shape = log_p_attr.shape
+    if len(shape) != 2 or log_p_rel.shape != shape or shape[1] != prior.size:
         raise ValueError("distribution shapes disagree")
-    with np.errstate(divide="ignore"):
-        log_score = np.log(A) + np.log(R) - np.log(prior)
-    proba = np.exp(_log_softmax(log_score))
-    return proba[0] if single else proba
+    return np.exp(_log_softmax(log_p_attr + log_p_rel - np.log(prior)))
 
 
 @dataclass(frozen=True)
@@ -346,10 +350,9 @@ class HybridModel:
     """An attribute posterior and a relational posterior combined per node.
 
     ``relational_model`` is either an ``LRModel`` over proportion features
-    or an ``NBRelationalModel`` over multiset counts; the hybrid picks the
-    matching relational input at prediction time. ``prior`` is the class
-    distribution divided out by the product rule and must be strictly
-    positive.
+    or an ``NBRelationalModel`` over multiset counts; ``relational_log_proba``
+    hands it the matching input. ``prior`` is the class distribution divided
+    out by the product rule and must be strictly positive.
     """
 
     attribute_model: LRModel
@@ -362,15 +365,12 @@ class HybridModel:
             raise ValueError("hybrid prior entries must be strictly positive")
         object.__setattr__(self, "prior", prior)
 
-    def relational_proba(self, proportions, counts) -> np.ndarray:
-        if isinstance(self.relational_model, NBRelationalModel):
-            return nb_relational_predict(self.relational_model, counts)
-        return lr_predict_proba(self.relational_model, proportions)
-
     def predict_proba(self, attributes, proportions, counts) -> np.ndarray:
-        p_attr = lr_predict_proba(self.attribute_model, attributes)
-        p_rel = self.relational_proba(proportions, counts)
-        return hybrid_combine(p_attr, p_rel, self.prior)
+        return hybrid_combine(
+            _lr_log_proba(self.attribute_model, attributes),
+            relational_log_proba(self.relational_model, proportions, counts),
+            self.prior,
+        )
 
 
 @dataclass(frozen=True)
@@ -380,9 +380,7 @@ class ConcatLRModel:
     model: LRModel
 
     def predict_proba(self, attributes, proportions, counts) -> np.ndarray:
-        X = np.hstack([np.atleast_2d(attributes), np.atleast_2d(proportions)])
-        proba = lr_predict_proba(self.model, X)
-        return proba[0] if np.asarray(attributes).ndim == 1 else proba
+        return lr_predict_proba(self.model, np.hstack([attributes, proportions]))
 
 
 def empirical_label_distribution(model: LRModel, unlabeled_features, beta=None) -> np.ndarray:
@@ -399,8 +397,7 @@ def empirical_label_distribution(model: LRModel, unlabeled_features, beta=None) 
     if X.shape[1] != model.feature_dim:
         raise ValueError("feature dimension mismatch")
     log_beta = _log_beta_of(beta, X.shape[0], model.n_classes)
-    proba = _proba(model.weights, _with_bias(X), log_beta)
-    return proba.mean(axis=0)
+    return np.exp(_log_proba(model.weights, _with_bias(X), log_beta)).mean(axis=0)
 
 
 def kl_penalty(target, empirical, epsilon_floor=1e-10) -> float:
@@ -428,12 +425,10 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target, epsilon_floor):
 
     where ``p`` is the beta-weighted softmax of the current weights.
     """
-    P = _proba(weights, Xb_unl, log_beta_unl)
+    P = np.exp(_log_proba(weights, Xb_unl, log_beta_unl))
     mean_pred = P.mean(axis=0)
-    floored = np.maximum(mean_pred, epsilon_floor)
-    pos = target > 0
-    value = float(np.sum(target[pos] * np.log(target[pos] / floored[pos])))
-    ratios = target / floored
+    value = kl_penalty(target, mean_pred, epsilon_floor)
+    ratios = target / np.maximum(mean_pred, epsilon_floor)
     row_mix = P @ ratios
     weighted = P * (row_mix[:, None] - ratios[None, :])
     grad = (weighted.T @ Xb_unl) / Xb_unl.shape[0]

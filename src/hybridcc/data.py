@@ -17,6 +17,7 @@ them through, so preprocessing cannot leak label information beyond the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,12 +148,15 @@ def load_dataset(node_path, edge_path, schema=None) -> RawDataset:
         for j, (kind, value) in enumerate(zip(parsed_schema, cells[2:])):
             if kind == "real":
                 try:
-                    raw_columns[j].append(float(value))
+                    number = float(value)
                 except ValueError:
+                    number = math.nan
+                if not math.isfinite(number):
                     raise DataError(
                         f"{node_path}: line {lineno}: column {j + 1}: "
-                        f"invalid real value {value!r}"
-                    ) from None
+                        f"invalid real value {value!r} (must be a finite number)"
+                    )
+                raw_columns[j].append(number)
             else:
                 raw_columns[j].append(value)
     if not ids:

@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from .classifiers import LRModel, lr_predict_proba
+from .classifiers import lr_predict_proba
 from .graph import (
     DataGraph,
     LabelState,
@@ -73,14 +74,14 @@ class WvrnConfig:
 def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None = None) -> LabelState:
     """Run iterative classification and return the final hard labeling.
 
-    ``bootstrap_model`` must offer ``predict_proba(attributes)`` over
-    attribute rows alone; ``node_model`` must offer
-    ``predict_proba(attributes, proportions, counts)``. Every unknown node
-    receives the argmax of its bootstrap distribution, then each of the
-    ``config.iterations`` rounds recomputes both relational feature kinds
-    from the complete current labeling and reassigns every unknown node
-    synchronously (all predictions use the round's incoming labels). Ties
-    in the per-node argmax go to the lowest class index.
+    ``bootstrap_model`` is an ``LRModel`` over attribute rows alone;
+    ``node_model`` must offer ``predict_proba(attributes, proportions,
+    counts)``. Every unknown node receives the argmax of its bootstrap
+    distribution, then each of the ``config.iterations`` rounds recomputes
+    both relational feature kinds from the complete current labeling and
+    reassigns every unknown node synchronously (all predictions use the
+    round's incoming labels). Ties in the per-node argmax go to the lowest
+    class index.
     """
     if config is None:
         config = ICAConfig()
@@ -90,10 +91,7 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
         return state
 
     attrs = graph.attributes
-    if isinstance(bootstrap_model, LRModel):
-        p0 = lr_predict_proba(bootstrap_model, attrs[unknown])
-    else:
-        p0 = bootstrap_model.predict_proba(attrs[unknown])
+    p0 = lr_predict_proba(bootstrap_model, attrs[unknown])
     state.set_predicted(unknown, np.argmax(p0, axis=1))
 
     for _ in range(config.iterations):
@@ -142,15 +140,13 @@ def wvrn_rl(graph: DataGraph, known_labels=None, config: WvrnConfig | None = Non
     else:
         dist[unknown] = 1.0 / c
 
-    src = np.repeat(np.arange(n), graph.degrees)
-    dst = graph.neighbor_ids
+    adjacency = csr_matrix(
+        (np.ones(graph.neighbor_ids.size), graph.neighbor_ids, graph.indptr), shape=(n, n)
+    )
     inv_degree = 1.0 / graph.degrees.astype(float)
 
     for sweep in range(config.max_iterations):
-        neighbor_mean = np.empty_like(dist)
-        for k in range(c):
-            sums = np.bincount(src, weights=dist[dst, k], minlength=n)
-            neighbor_mean[:, k] = sums * inv_degree
+        neighbor_mean = (adjacency @ dist) * inv_degree[:, None]
         w = config.decay ** sweep
         updated = w * neighbor_mean[unknown] + (1.0 - w) * dist[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))

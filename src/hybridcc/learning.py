@@ -32,8 +32,9 @@ from .classifiers import (
     lr_predict_proba,
     lr_train,
     lr_train_label_reg,
-    nb_relational_predict,
+    nb_relational_predict,  # noqa: F401 -- perfbench/tracing.py patches this name here
     nb_relational_train,
+    relational_log_proba,
 )
 from .graph import (
     DataGraph,
@@ -56,9 +57,10 @@ __all__ = [
     "attr_only",
 ]
 
-# Relational posteriors can underflow to exactly 0.0 for high-degree nodes;
-# the per-node multipliers handed to label-regularized training must stay
-# strictly positive, so they are floored here before any log.
+# The multipliers exp(log p_rel - log prior) underflow to 0.0 on high-degree
+# nodes. lr_train_label_reg takes them in probability space, because
+# perfbench/tracing.py evaluates its objective from np.log(known_beta), so
+# they are floored to stay strictly positive until it takes log multipliers.
 BETA_FLOOR = 1e-300
 
 SSL_VARIANT_NAMES = ("all-em", "all-onepass", "known-em", "known-onepass")
@@ -183,12 +185,6 @@ def _train_attribute_model(graph: DataGraph, spec: ClassifierSpec):
     )
 
 
-def _relational_proba(rel_model, proportions, counts):
-    if hasattr(rel_model, "neighbor_table"):
-        return nb_relational_predict(rel_model, counts)
-    return lr_predict_proba(rel_model, proportions)
-
-
 def _train_node_model(graph, state, spec, train_nodes, prior,
                       neighbor_mask=None, diagnostics=None):
     """Step-5 training: fit the node classifier on ``train_nodes``.
@@ -232,8 +228,8 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
         unknown = graph.unknown_nodes
 
         def beta_for(rows):
-            p_rel = _relational_proba(rel_model, proportions[rows], counts[rows])
-            return np.clip(p_rel / prior, BETA_FLOOR, None)
+            log_p_rel = relational_log_proba(rel_model, proportions[rows], counts[rows])
+            return np.clip(np.exp(log_p_rel - np.log(prior)), BETA_FLOOR, None)
 
         config = LabelRegConfig(
             target_dist=prior,

@@ -89,7 +89,8 @@ def test_acceptance_2_product_rule_equals_joint_nb():
     m_a = nb_relational_train(CA, y, alpha=alpha)
     m_r = nb_relational_train(CR, y, alpha=alpha)
     combined = hybrid_combine(
-        nb_relational_predict(m_a, CA), nb_relational_predict(m_r, CR), m_a.class_prior
+        np.log(nb_relational_predict(m_a, CA)), np.log(nb_relational_predict(m_r, CR)),
+        m_a.class_prior,
     )
 
     # joint model, estimated from scratch: per-block smoothed tables share

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcc.classifiers import (
+    ConcatLRModel,
     ConvergenceWarning,
     HybridModel,
     LabelRegConfig,
@@ -149,7 +150,7 @@ def test_nb_predictions_normalize(seed, n, c):
 
 def test_hybrid_combine_hand_example():
     p = hybrid_combine(
-        np.array([[0.8, 0.2]]), np.array([[0.6, 0.4]]), np.array([0.5, 0.5])
+        np.log([[0.8, 0.2]]), np.log([[0.6, 0.4]]), np.array([0.5, 0.5])
     )
     assert np.allclose(p, [[6 / 7, 1 / 7]], atol=1e-12)
 
@@ -157,14 +158,14 @@ def test_hybrid_combine_hand_example():
 def test_hybrid_combine_uniform_prior_is_plain_product():
     pa = np.array([[0.3, 0.7]])
     pr = np.array([[0.9, 0.1]])
-    got = hybrid_combine(pa, pr, np.array([0.5, 0.5]))
+    got = hybrid_combine(np.log(pa), np.log(pr), np.array([0.5, 0.5]))
     want = pa * pr / (pa * pr).sum()
     assert np.allclose(got, want, atol=1e-12)
 
 
 def test_hybrid_combine_rejects_zero_prior():
     with pytest.raises(ValueError):
-        hybrid_combine(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]), np.array([1.0, 0.0]))
+        hybrid_combine(np.log([[0.5, 0.5]]), np.log([[0.5, 0.5]]), np.array([1.0, 0.0]))
 
 
 def test_hybrid_model_dispatches_on_member_type():
@@ -198,6 +199,48 @@ def test_hybrid_model_dispatches_on_member_type():
     assert np.allclose(p_lr, p_lr2)
 
 
+def test_hybrid_combine_survives_disjoint_underflowed_support():
+    # exp of either member is (1, 0) against (0, 1): no common support
+    p = hybrid_combine(
+        np.array([[0.0, -800.0]]), np.array([[-900.0, 0.0]]), np.array([0.5, 0.5])
+    )
+    assert np.all(np.isfinite(p))
+    assert np.allclose(p, [[0.0, 1.0]])
+
+
+def test_hybrid_model_is_exact_when_both_members_underflow():
+    # alpha=0.1 on one-sided training counts gives a peaked table: 600
+    # class-0 neighbors score class 1 about 2770 nats lower, far past exp's
+    # range, while the attribute member favors class 1 by 3000 nats.
+    nb = nb_relational_train(np.array([[10.0, 0.0], [0.0, 10.0]]), np.array([0, 1]), alpha=0.1)
+    attr = make_lr([[0.0, 0.0], [-10.0, 0.0]])
+    attrs = np.array([[-300.0]])
+    counts = np.array([[600.0, 0.0]])
+    model = HybridModel(attribute_model=attr, relational_model=nb, prior=nb.class_prior)
+    p = model.predict_proba(attrs, counts / 600.0, counts)
+
+    attr_logits = attrs @ attr.weights[:, :-1].T
+    exact = np.argmax(attr_logits + counts @ np.log(nb.neighbor_table).T, axis=1)
+    assert exact.tolist() == [1]
+    assert np.all(np.isfinite(p))
+    assert np.array_equal(np.argmax(p, axis=1), exact)
+
+
+def test_single_vector_inputs_are_rejected():
+    lr = make_lr([[1.0, 0.0], [0.0, 0.0]])
+    nb = nb_relational_train(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1]), alpha=1.0)
+    concat = ConcatLRModel(make_lr(np.zeros((2, 3))))
+    vec = np.array([0.5, 0.5])
+    with pytest.raises(ValueError):
+        lr_predict_proba(lr, np.array([1.0]))
+    with pytest.raises(ValueError):
+        nb_relational_predict(nb, vec)
+    with pytest.raises(ValueError):
+        hybrid_combine(np.log(vec), np.log(vec), vec)
+    with pytest.raises(ValueError):
+        concat.predict_proba(np.array([1.0]), vec, vec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 20), c=st.integers(2, 4))
 def test_hybrid_combine_normalizes(seed, n, c):
@@ -205,7 +248,7 @@ def test_hybrid_combine_normalizes(seed, n, c):
     pa = rng.dirichlet(np.ones(c), size=n)
     pr = rng.dirichlet(np.ones(c), size=n)
     prior = rng.dirichlet(np.ones(c))
-    p = hybrid_combine(pa, pr, prior)
+    p = hybrid_combine(np.log(pa), np.log(pr), prior)
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 

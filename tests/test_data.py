@@ -65,13 +65,14 @@ def test_duplicate_node_id_reports_line(tmp_path):
         load_dataset(np_, ep)
 
 
-def test_bad_float_reports_line(tmp_path):
+@pytest.mark.parametrize("cell", ["oops", "nan", "inf", "-inf"])
+def test_bad_float_reports_line(tmp_path, cell):
     np_, ep = small_files(
         tmp_path,
-        nodes="id\tlabel\treal\nn1\ta\toops\n",
+        nodes=f"id\tlabel\treal\nn1\ta\t{cell}\n",
         edges="",
     )
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(DataError, match=r"nodes\.tsv: line 2: column 1"):
         load_dataset(np_, ep)
 
 

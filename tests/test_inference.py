@@ -135,6 +135,30 @@ def test_wvrn_decay_damps_updates_but_converges_to_the_same_point():
     assert np.max(np.abs(dist - want)) < 1e-3
 
 
+def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
+    """The sparse-product sweep is bit-identical to summing each class's
+    neighbor mass with one bincount per class."""
+    graph, truth = homophilous_graph(seed=4)
+    g = sparsely_label(graph, truth, k=8)
+    n, c = g.node_count, g.n_classes
+    known, unknown = g.known_nodes, g.unknown_nodes
+    labels = LabelState.from_graph(g).labels
+    want = np.zeros((n, c))
+    want[known, labels[known]] = 1.0
+    want[unknown] = np.bincount(labels[known], minlength=c) / known.size
+    src = np.repeat(np.arange(n), g.degrees)
+    inv_degree = 1.0 / g.degrees
+    for _ in range(7):
+        mean = np.empty_like(want)
+        for k in range(c):
+            sums = np.bincount(src, weights=want[g.neighbor_ids, k], minlength=n)
+            mean[:, k] = sums * inv_degree
+        want[unknown] = mean[unknown]
+    cfg = WvrnConfig(max_iterations=7, convergence_tol=1e-300)
+    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    assert np.array_equal(dist, want)
+
+
 def test_wvrn_accepts_label_override_and_requires_knowns():
     edges = [(0, 1), (1, 2)]
     g = DataGraph.build(edges, np.zeros((3, 1)), ("a", "b"))
