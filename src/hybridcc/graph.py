@@ -6,6 +6,11 @@ infer the labels of the remaining nodes. Relational features summarize the
 labels currently assigned to a node's neighborhood, either as fractions of
 the neighborhood (for vector-based classifiers) or as raw per-class counts
 (for classifiers that treat each neighbor label as one observation).
+
+The graph keeps its topology in one form, a sparse 0/1 adjacency matrix,
+and every neighbor aggregation is a product with it: per-class neighbor
+counts are ``adjacency @ onehot(labels)``, and relational-only propagation
+averages ``adjacency @ dist`` by degree.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
 
 __all__ = [
     "UNSET",
@@ -36,10 +42,12 @@ PREDICTED = 2
 class DataGraph:
     """Immutable undirected graph with node attributes and known labels.
 
-    Adjacency is stored in compressed sparse row form: the neighbors of node
-    ``i`` are ``neighbor_ids[indptr[i]:indptr[i + 1]]``, sorted and
-    deduplicated. Self loops are dropped at construction and every node must
-    have degree >= 1 (isolated nodes are removed during data preparation).
+    ``adjacency`` is an (n x n) ``scipy.sparse.csr_array`` of 0/1 integers:
+    symmetric, with sorted and deduplicated column indices and no self
+    loops, so the neighbors of node ``i`` are the column indices of row
+    ``i``. ``degrees`` and ``neighbor_ids`` are views derived from it (row
+    lengths and the concatenated column indices). Every node must have
+    degree >= 1 (isolated nodes are removed during data preparation).
 
     ``known_labels`` maps node index to class index for the nodes whose label
     is given; all other nodes are the inference target. The graph object is
@@ -47,9 +55,7 @@ class DataGraph:
     across concurrently running trials.
     """
 
-    indptr: np.ndarray
-    neighbor_ids: np.ndarray
-    degrees: np.ndarray
+    adjacency: csr_array
     attributes: np.ndarray
     label_domain: tuple[str, ...]
     known_labels: dict[int, int]
@@ -72,40 +78,34 @@ class DataGraph:
         if len(label_domain) < 2:
             raise ValueError("label domain must contain at least 2 classes")
 
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("edge endpoint out of range")
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # no self loops
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        undirected = np.unique(np.stack([lo, hi], axis=1), axis=0)
+        rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        # Converting to CSR sorts the indices and sums repeated edges.
+        adjacency = coo_array(
+            (np.ones(rows.size, dtype=np.int64), (rows, cols)), shape=(n, n)
+        ).tocsr()
+        adjacency.data[:] = 1
+        isolated = np.flatnonzero(np.diff(adjacency.indptr) == 0)
+        if isolated.size:
+            raise ValueError(f"node {int(isolated[0])} is isolated (degree 0)")
 
-        src = np.concatenate([undirected[:, 0], undirected[:, 1]])
-        dst = np.concatenate([undirected[:, 1], undirected[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        graph = cls(adjacency=adjacency, attributes=attributes,
+                    label_domain=label_domain, known_labels={})
+        return graph.with_known_labels(known_labels or {})
 
-        degrees = np.bincount(src, minlength=n)
-        if np.any(degrees == 0):
-            bad = int(np.flatnonzero(degrees == 0)[0])
-            raise ValueError(f"node {bad} is isolated (degree 0)")
-        indptr = np.concatenate([[0], np.cumsum(degrees)])
+    @property
+    def degrees(self) -> np.ndarray:
+        """Number of distinct neighbors of each node."""
+        return np.diff(self.adjacency.indptr)
 
-        known = dict(known_labels) if known_labels else {}
-        for node, cls_idx in known.items():
-            if not 0 <= node < n:
-                raise ValueError(f"known label for out-of-range node {node}")
-            if not 0 <= cls_idx < len(label_domain):
-                raise ValueError(f"known class index {cls_idx} outside label domain")
-
-        return cls(
-            indptr=indptr,
-            neighbor_ids=dst,
-            degrees=degrees,
-            attributes=attributes,
-            label_domain=label_domain,
-            known_labels=known,
-        )
+    @property
+    def neighbor_ids(self) -> np.ndarray:
+        """Neighbor indices of every node, concatenated in node order."""
+        return self.adjacency.indices
 
     @property
     def node_count(self) -> int:
@@ -198,23 +198,8 @@ def neighbors(graph: DataGraph, node: int) -> np.ndarray:
     """Sorted, deduplicated neighbor indices of ``node``."""
     if not 0 <= node < graph.node_count:
         raise IndexError(f"node index {node} out of range [0, {graph.node_count})")
-    return graph.neighbor_ids[graph.indptr[node] : graph.indptr[node + 1]].copy()
-
-
-def _neighbor_label_counts(graph, state, within):
-    if len(state.labels) != graph.node_count:
-        raise ValueError("label state does not match graph size")
-    c = state.n_classes
-    src = np.repeat(np.arange(graph.node_count), graph.degrees)
-    dst = graph.neighbor_ids
-    if within is not None:
-        keep = within[dst]
-        src, dst = src[keep], dst[keep]
-    labels = state.labels[dst]
-    if labels.size and labels.min() < 0:
-        raise ValueError("relational features require labels on all contributing nodes")
-    counts = np.bincount(src * c + labels, minlength=graph.node_count * c)
-    return counts.reshape(graph.node_count, c)
+    indptr = graph.adjacency.indptr
+    return graph.neighbor_ids[indptr[node] : indptr[node + 1]].copy()
 
 
 def compute_multiset_features(graph: DataGraph, state: LabelState, within=None) -> np.ndarray:
@@ -225,9 +210,16 @@ def compute_multiset_features(graph: DataGraph, state: LabelState, within=None) 
     (used when only a trusted subset of labels may contribute); masked-out
     neighbors are ignored entirely.
     """
-    if within is None and not state.all_labeled:
-        raise ValueError("relational features require a fully labeled state")
-    return _neighbor_label_counts(graph, state, within)
+    n = graph.node_count
+    if len(state.labels) != n:
+        raise ValueError("label state does not match graph size")
+    contributing = np.arange(n) if within is None else np.flatnonzero(within)
+    labels = state.labels[contributing]
+    if labels.size and labels.min() < 0:
+        raise ValueError("relational features require labels on all contributing nodes")
+    onehot = np.zeros((n, state.n_classes), dtype=np.int64)
+    onehot[contributing, labels] = 1
+    return graph.adjacency @ onehot
 
 
 def compute_proportion_features(graph: DataGraph, state: LabelState, within=None) -> np.ndarray:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .classifiers import lr_predict_proba
 from .graph import (
@@ -140,13 +139,10 @@ def wvrn_rl(graph: DataGraph, known_labels=None, config: WvrnConfig | None = Non
     else:
         dist[unknown] = 1.0 / c
 
-    adjacency = csr_matrix(
-        (np.ones(graph.neighbor_ids.size), graph.neighbor_ids, graph.indptr), shape=(n, n)
-    )
     inv_degree = 1.0 / graph.degrees.astype(float)
 
     for sweep in range(config.max_iterations):
-        neighbor_mean = (adjacency @ dist) * inv_degree[:, None]
+        neighbor_mean = (graph.adjacency @ dist) * inv_degree[:, None]
         w = config.decay ** sweep
         updated = w * neighbor_mean[unknown] + (1.0 - w) * dist[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))

@@ -126,10 +126,7 @@ def test_acceptance_3_neighbor_averaging_reaches_solved_fixed_point():
     n, c = g.node_count, g.n_classes
     state = LabelState.from_graph(g)
     known, unknown = g.known_nodes, g.unknown_nodes
-    A = np.zeros((n, n))
-    for u in range(n):
-        A[u, g.neighbor_ids[g.indptr[u]:g.indptr[u + 1]]] = 1.0
-    P = A / g.degrees[:, None]
+    P = g.adjacency.toarray() / g.degrees[:, None]
     clamp = np.zeros((n, c))
     clamp[known, state.labels[known]] = 1.0
     solved = clamp.copy()

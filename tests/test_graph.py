@@ -37,11 +37,31 @@ def test_build_symmetrizes_and_deduplicates():
     assert set(neighbors(g, 1).tolist()) == {0, 2}
     # the self loop on node 2 is dropped, not counted as degree
     assert list(neighbors(g, 2)) == [1]
+    A = g.adjacency
+    assert A.has_canonical_format
+    assert np.all(A.data == 1)
+    assert np.array_equal(A.toarray(), A.toarray().T)
+    assert A.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
 def test_build_rejects_isolated_nodes():
     with pytest.raises(ValueError, match="node 2 is isolated"):
         DataGraph.build([(0, 1)], np.zeros((3, 1)), ("a", "b"))
+
+
+@pytest.mark.parametrize("entry", ["build", "with_known_labels"])
+@pytest.mark.parametrize(
+    "known, message",
+    [({3: 0}, "out-of-range node 3"), ({-1: 0}, "out-of-range node -1"),
+     ({0: 2}, "class index 2 outside"), ({0: -1}, "class index -1 outside")],
+    ids=["node-past-end", "node-negative", "class-past-end", "class-negative"],
+)
+def test_known_labels_are_validated_by_every_entry_point(entry, known, message):
+    with pytest.raises(ValueError, match=message):
+        if entry == "build":
+            line_graph(3, known=known)
+        else:
+            line_graph(3).with_known_labels(known)
 
 
 def test_known_label_bookkeeping():
@@ -76,7 +96,7 @@ def test_with_known_labels_leaves_original_untouched():
     h = g.with_known_labels({1: 1, 2: 0})
     assert list(h.known_nodes) == [1, 2]
     assert list(g.known_nodes) == [0]
-    assert h.indptr is g.indptr  # structure is shared, labels are not
+    assert h.adjacency is g.adjacency  # structure is shared, labels are not
 
 
 def test_multiset_counts_on_a_path():
@@ -120,6 +140,16 @@ def test_class_prior_unsmoothed():
     assert prior.tolist() == [1.0, 0.0]
 
 
+def neighbor_count_loop(g, labels, within):
+    """Reference counts: one pass over ``neighbors()`` per node."""
+    want = np.zeros((g.node_count, g.n_classes), dtype=np.int64)
+    for u in range(g.node_count):
+        for v in neighbors(g, u):
+            if within[v]:
+                want[u, labels[v]] += 1
+    return want
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=30),
@@ -129,13 +159,26 @@ def test_class_prior_unsmoothed():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_feature_rows_account_for_every_neighbor(n, extra, seed):
-    """Multiset rows sum to the degree; proportion rows sum to one."""
+    """Multiset rows sum to the degree and match a per-node neighbor loop,
+    with and without a ``within`` mask; proportions are the counts over
+    their row sums, and rows with no contributing neighbor stay zero."""
     edges = [(i, i + 1) for i in range(n - 1)]
     edges += [(a % n, b % n) for a, b in extra if a % n != b % n]
     g = DataGraph.build(edges, np.zeros((n, 1)), ("x", "y", "z"))
     rng = np.random.default_rng(seed)
     st0 = LabelState.from_graph(g)
     st0.set_predicted(np.arange(n), rng.integers(0, 3, size=n))
+    mask = rng.random(n) < 0.5
+    for within in (None, mask):
+        counts = compute_multiset_features(g, st0, within=within)
+        assert counts.dtype.kind == "i"
+        everyone = np.ones(n, dtype=bool) if within is None else within
+        assert np.array_equal(counts, neighbor_count_loop(g, st0.labels, everyone))
+        props = compute_proportion_features(g, st0, within=within)
+        totals = counts.sum(axis=1)
+        nz = totals > 0
+        assert np.array_equal(props[nz], counts[nz] / totals[nz, None])
+        assert np.all(props[~nz] == 0)
     counts = compute_multiset_features(g, st0)
     assert np.array_equal(counts.sum(axis=1), g.degrees)
     props = compute_proportion_features(g, st0)

@@ -79,11 +79,7 @@ def solve_clamped_average(graph, config_decayless=True):
     state = LabelState.from_graph(graph)
     known = graph.known_nodes
     unknown = graph.unknown_nodes
-    A = np.zeros((n, n))
-    for u in range(n):
-        row = graph.neighbor_ids[graph.indptr[u]:graph.indptr[u + 1]]
-        A[u, row] = 1.0
-    P = A / graph.degrees[:, None]
+    P = graph.adjacency.toarray() / graph.degrees[:, None]
     clamp = np.zeros((n, c))
     clamp[known, state.labels[known]] = 1.0
     lhs = np.eye(unknown.size) - P[np.ix_(unknown, unknown)]
