@@ -3,9 +3,10 @@
 
 Loads a dataset, reveals one seeded known-label sample at the requested
 density, then runs every learning variant with one classifier kind and
-prints what the harness would record, plus the training-set sizes of each
-refit iteration. Handy when a summary number looks off and you want to see
-the moving parts of a single cell.
+prints what the harness would record, plus the training-set size of each
+refit actually run (EM stops at the first repeated labeling, so a variant
+may list fewer sizes than its iteration budget). Handy when a summary
+number looks off and you want to see the moving parts of a single cell.
 
     python3 scripts/inspect_single_trial.py \
         --nodes runs/sweep/nodes.tsv --edges runs/sweep/edges.tsv \
@@ -64,7 +65,7 @@ def main() -> int:
           f"{np.array2string(target, precision=3)}\n")
 
     spec = ClassifierSpec(args.classifier)
-    header = f"{'variant':<16}{'accuracy':>9}  {'collapse':<9}train sizes per iteration"
+    header = f"{'variant':<16}{'accuracy':>9}  {'collapse':<9}train size per fit run"
     print(header)
     for name in SSL_VARIANT_NAMES:
         diag = {}

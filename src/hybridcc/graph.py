@@ -16,6 +16,7 @@ averages ``adjacency @ dist`` by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
@@ -115,23 +116,23 @@ class DataGraph:
     def n_classes(self) -> int:
         return len(self.label_domain)
 
-    @property
+    @cached_property
     def known_nodes(self) -> np.ndarray:
-        """Sorted indices of nodes with a given label."""
-        return np.array(sorted(self.known_labels), dtype=np.int64)
+        """Sorted indices of nodes with a given label (computed once, read-only)."""
+        nodes = np.array(sorted(self.known_labels), dtype=np.int64)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def unknown_nodes(self) -> np.ndarray:
         """Sorted indices of nodes whose label must be inferred."""
         mask = np.ones(self.node_count, dtype=bool)
-        if self.known_labels:
-            mask[self.known_nodes] = False
+        mask[self.known_nodes] = False
         return np.flatnonzero(mask)
 
     def known_mask(self) -> np.ndarray:
         mask = np.zeros(self.node_count, dtype=bool)
-        if self.known_labels:
-            mask[self.known_nodes] = True
+        mask[self.known_nodes] = True
         return mask
 
     def with_known_labels(self, known_labels) -> "DataGraph":

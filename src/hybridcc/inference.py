@@ -3,7 +3,7 @@
 Two procedures:
 
 * ``ica``: iterative classification. Unknown nodes are bootstrapped from
-  an attribute-only model, then a fixed number of synchronous rounds
+  an attribute-only model, then up to a fixed number of synchronous rounds
   recompute every node's relational features from the current labeling and
   re-predict the unknown nodes with the full node model. Known labels are
   never touched.
@@ -26,15 +26,16 @@ from .graph import (
     compute_proportion_features,
 )
 
-__all__ = ["ICAConfig", "WvrnConfig", "ica", "wvrn_rl"]
+__all__ = ["ICAConfig", "WvrnConfig", "ica", "iterate", "wvrn_rl"]
 
 
 @dataclass(frozen=True)
 class ICAConfig:
     """Iteration budget for iterative classification.
 
-    The loop always runs exactly ``iterations`` rounds; there is no early
-    convergence exit, so two runs from the same bootstrap are identical.
+    ``iterations`` is an upper bound: the result is always the labeling
+    that exactly ``iterations`` rounds reach, but the loop stops as soon as
+    a labeling repeats (see ``iterate``).
     """
 
     iterations: int = 10
@@ -70,6 +71,27 @@ class WvrnConfig:
             raise ValueError("decay must be in (0, 1]")
 
 
+def iterate(step, state, n: int):
+    """Return ``step`` applied ``n`` times to ``state``, stopping early.
+
+    ``step`` must return a new state that depends only on ``state.labels``.
+    The sequence of labelings is then periodic from its first repeat: once
+    step ``k + 1`` reproduces the labeling of step ``i``, the states cycle
+    with period ``k + 1 - i``, and the ``n``-th is read off the states seen
+    so far. ``step`` runs at most ``n`` times, and only as often as it
+    takes to reach a fixed point or a cycle.
+    """
+    seen = [state]
+    first_step = {state.labels.tobytes(): 0}
+    for k in range(n):
+        state = step(state)
+        i = first_step.setdefault(state.labels.tobytes(), k + 1)
+        if i <= k:
+            return seen[i + (n - i) % (k + 1 - i)]
+        seen.append(state)
+    return state
+
+
 def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None = None) -> LabelState:
     """Run iterative classification and return the final hard labeling.
 
@@ -80,7 +102,9 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
     both relational feature kinds from the complete current labeling and
     reassigns every unknown node synchronously (all predictions use the
     round's incoming labels). Ties in the per-node argmax go to the lowest
-    class index.
+    class index. A round is a deterministic function of its incoming
+    labeling, so the rounds stop at the first repeated labeling (a fixed
+    point or a cycle) and return the labeling the full budget would reach.
     """
     if config is None:
         config = ICAConfig()
@@ -93,14 +117,17 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
     p0 = lr_predict_proba(bootstrap_model, attrs[unknown])
     state.set_predicted(unknown, np.argmax(p0, axis=1))
 
-    for _ in range(config.iterations):
+    def round_(state):
+        state = state.copy()
         proportions = compute_proportion_features(graph, state)
         counts = compute_multiset_features(graph, state)
         proba = node_model.predict_proba(
             attrs[unknown], proportions[unknown], counts[unknown]
         )
         state.set_predicted(unknown, np.argmax(proba, axis=1))
-    return state
+        return state
+
+    return iterate(round_, state, config.iterations)
 
 
 def wvrn_rl(graph: DataGraph, known_labels=None, config: WvrnConfig | None = None,

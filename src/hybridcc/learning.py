@@ -1,9 +1,10 @@
 """Semi-supervised training loops over a partially labeled graph.
 
 The main entry point ``ssl_learn`` follows one generic recipe with two
-knobs: how many outer iterations to run and whether the per-iteration node
-classifier is trained on every node (using predicted labels as if true) or
-on the supervised nodes only. The four named settings are
+knobs: how many outer iterations to run (at most; the loop stops at the
+first repeated labeling) and whether the per-iteration node classifier is
+trained on every node (using predicted labels as if true) or on the
+supervised nodes only. The four named settings are
 
 * ``all-em``       (train on all nodes, 10 iterations),
 * ``all-onepass``  (train on all nodes, 1 iteration),
@@ -43,7 +44,7 @@ from .graph import (
     compute_multiset_features,
     compute_proportion_features,
 )
-from .inference import ICAConfig, ica
+from .inference import ICAConfig, ica, iterate
 
 __all__ = [
     "SslVariant",
@@ -255,7 +256,11 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
     iteration recomputes relational features from the current labeling,
     trains the node classifier on all nodes or on the supervised nodes per
     ``variant.learn_from_all``, and replaces the unknown labels with a
-    fresh collective-inference pass. Every step is deterministic.
+    fresh collective-inference pass. Every iteration is a deterministic
+    function of the incoming labeling, so the loop stops at the first
+    repeated labeling and returns the one ``variant.n_iterations``
+    iterations reach (see ``iterate``). ``diagnostics["train_sizes"]``
+    gets one entry per fit actually run.
     """
     _require_known(graph)
     if ica_config is None:
@@ -273,12 +278,14 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
     train_nodes = (
         np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
     )
-    for _ in range(variant.n_iterations):
+
+    def em_step(state):
         node_model = _train_node_model(
             graph, state, spec, train_nodes, prior, diagnostics=diagnostics
         )
-        state = ica(graph, m_a, node_model, ica_config)
-    return state
+        return ica(graph, m_a, node_model, ica_config)
+
+    return iterate(em_step, state, variant.n_iterations)
 
 
 def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,

@@ -99,6 +99,24 @@ def test_with_known_labels_leaves_original_untouched():
     assert h.adjacency is g.adjacency  # structure is shared, labels are not
 
 
+def test_known_nodes_are_computed_once_read_only_and_per_graph():
+    g = line_graph(4, known={2: 1, 0: 0})
+    cached = g.known_nodes
+    assert g.known_nodes is cached
+    assert cached.tolist() == [0, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 3
+    h = g.with_known_labels({3: 1})
+    assert h.known_nodes is not cached
+    assert h.known_nodes.tolist() == [3]
+    assert g.known_nodes.tolist() == [0, 2]
+    assert h.unknown_nodes.tolist() == [0, 1, 2]
+    empty = g.with_known_labels({})
+    assert empty.known_nodes.size == 0
+    assert empty.unknown_nodes.tolist() == [0, 1, 2, 3]
+    assert not empty.known_mask().any()
+
+
 def test_multiset_counts_on_a_path():
     # 0(c0) - 1 - 2(c1), node 1 predicted c1
     g = line_graph(3, known={0: 0, 2: 1})

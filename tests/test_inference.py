@@ -1,13 +1,19 @@
 """Collective inference: iterative classification and relational-only averaging."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridcc.classifiers import lr_train
 from hybridcc.graph import DataGraph, class_prior, LabelState
-from hybridcc.inference import ICAConfig, WvrnConfig, ica, wvrn_rl
+from hybridcc.inference import ICAConfig, WvrnConfig, ica, iterate, wvrn_rl
 from hybridcc.learning import ClassifierSpec, ssl_learn, variant_from_name
 from hybridcc.synthetic import synthetic_graph
+from reference_loops import first_repeat_period
 
 
 def test_ica_config_validation():
@@ -71,6 +77,53 @@ def test_ica_ties_break_to_lowest_index():
     # a constant node model produces exact ties everywhere: all class 0
     state = ica(tg, m_a, UniformNodeModel(2))
     assert np.all(state.labels[tg.unknown_nodes] == 0)
+
+
+@st.composite
+def maps_with_tails_and_cycles(draw):
+    """A map on a few points: cycles of length 1-4, then tail points that
+    each feed an earlier point, relabeled by a random permutation."""
+    succ = []
+    for length in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)):
+        base = len(succ)
+        succ += [base + (j + 1) % length for j in range(length)]
+    for _ in range(draw(st.integers(0, 8))):
+        succ.append(draw(st.integers(0, len(succ) - 1)))
+    perm = draw(st.permutations(range(len(succ))))
+    relabeled = [0] * len(succ)
+    for point, target in enumerate(succ):
+        relabeled[perm[point]] = perm[target]
+    return relabeled
+
+
+@settings(max_examples=300, deadline=None)
+@given(succ=maps_with_tails_and_cycles(), data=st.data(), n=st.integers(1, 15))
+def test_iterate_equals_the_plain_loop(succ, data, n):
+    start = data.draw(st.integers(0, len(succ) - 1))
+    calls = []
+
+    def step(state):
+        calls.append(state)
+        return SimpleNamespace(labels=np.array([succ[state.labels[0]]]))
+
+    want = start
+    for _ in range(n):
+        want = succ[want]
+    got = iterate(step, SimpleNamespace(labels=np.array([start])), n)
+    assert got.labels[0] == want
+    assert len(calls) <= n
+
+
+def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
+    """Early exit equals the full round budget, on runs that reach fixed
+    points and 2-cycles."""
+    periods = Counter()
+    for graph, variant, spec, _, ica_runs in full_budget_runs:
+        for m_a, node_model, history in ica_runs:
+            state = ica(graph, m_a, node_model, ICAConfig(iterations=len(history) - 1))
+            assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
+            periods[first_repeat_period(history)] += 1
+    assert periods[1] > 0 and periods[2] > 0, periods
 
 
 def solve_clamped_average(graph, config_decayless=True):
