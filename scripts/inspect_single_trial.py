@@ -34,7 +34,6 @@ from hybridcc import (
     variant_from_name,
     wvrn_rl,
 )
-from hybridcc.graph import LabelState
 from hybridcc.learning import CLASSIFIER_KINDS, SSL_VARIANT_NAMES
 
 
@@ -57,7 +56,7 @@ def main() -> int:
     )
     tg = graph.with_known_labels({int(i): int(truth[i]) for i in known})
     unknown = tg.unknown_nodes
-    target = class_prior(LabelState.from_graph(tg), known_only=True, smoothing=1.0)
+    target = class_prior(tg)
 
     print(f"{graph.node_count} nodes, {known.size} known ({args.density:g}), "
           f"{len(prepared.label_domain)} classes, classifier {args.classifier}")

@@ -10,13 +10,21 @@ loops; ``learning`` the semi-supervised training variants and baselines;
 command-line tool in ``cli``.
 """
 
+import os
+
+# One BLAS thread unless the caller set a count: on this package's small
+# matrices the thread pools of numpy's and scipy's bundled OpenBLAS only
+# contend. Takes effect only if numpy is not imported yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .graph import (
     DataGraph,
     LabelState,
     class_prior,
     compute_multiset_features,
     compute_proportion_features,
-    neighbors,
 )
 from .classifiers import (
     ConcatLRModel,
@@ -78,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataGraph", "LabelState", "class_prior", "compute_multiset_features",
-    "compute_proportion_features", "neighbors",
+    "compute_proportion_features",
     "LRModel", "NBRelationalModel", "HybridModel", "ConcatLRModel",
     "LabelRegConfig", "ConvergenceWarning", "lr_train", "lr_predict_proba",
     "nb_relational_train", "nb_relational_predict", "hybrid_combine",

@@ -98,12 +98,11 @@ def _data_rows(path):
             yield lineno, stripped
 
 
-def load_dataset(node_path, edge_path, schema=None) -> RawDataset:
+def load_dataset(node_path, edge_path) -> RawDataset:
     """Parse and validate the two dataset files.
 
-    The header row's attribute cells are authoritative for the column
-    schema; a ``schema`` argument, when given, is checked against it.
-    Raises ``DataError`` naming the offending file line for malformed rows,
+    The header row's attribute cells declare the column schema. Raises
+    ``DataError`` naming the offending file line for malformed rows,
     duplicate ids, and edges that reference unknown ids.
     """
     rows = _data_rows(node_path)
@@ -121,10 +120,6 @@ def load_dataset(node_path, edge_path, schema=None) -> RawDataset:
                 f"{node_path}: line {header_lineno}: attribute column {j + 1} "
                 f"must be declared 'real' or 'cat', got {kind!r}"
             )
-    if schema is not None and tuple(schema) != parsed_schema:
-        raise DataError(
-            f"{node_path}: declared schema {tuple(schema)} does not match header {parsed_schema}"
-        )
 
     ids: list[str] = []
     labels: list[str] = []
@@ -314,33 +309,32 @@ class PreparedDataset:
     graph: DataGraph
     truth: np.ndarray
     ids: tuple[str, ...]
-    pca: PcaTransform | None = None
 
     @property
     def label_domain(self) -> tuple[str, ...]:
         return self.graph.label_domain
 
 
-def prepare_dataset(node_path, edge_path, schema=None, pca_components=0,
+def prepare_dataset(node_path, edge_path, pca_components=0,
                     normalization="zscore") -> PreparedDataset:
     """Run the full pipeline from files to a ready graph.
 
-    ``pca_components = 0`` skips the projection. The class domain is the
-    sorted set of observed label strings; ``truth[i]`` is node i's index
-    into it. The returned graph has an empty known-label set; trials
-    install their own sampled subsets.
+    The column schema comes from the node file's header (see
+    ``load_dataset``). ``pca_components = 0`` skips the projection. The
+    class domain is the sorted set of observed label strings; ``truth[i]``
+    is node i's index into it. The returned graph has an empty known-label
+    set; trials install their own sampled subsets.
     """
-    raw = remove_isolated(load_dataset(node_path, edge_path, schema))
+    raw = remove_isolated(load_dataset(node_path, edge_path))
     raw = binarize_categorical(raw)
     X = raw.attribute_matrix()
-    pca = None
     if pca_components:
         if pca_components > min(X.shape):
             raise DataError(
                 f"pca_components={pca_components} exceeds the data's "
                 f"min(rows, columns)={min(X.shape)}"
             )
-        pca, X = pca_fit_transform(X, pca_components)
+        _, X = pca_fit_transform(X, pca_components)
     X = normalize_features(X, normalization)
     domain = tuple(sorted(set(raw.labels)))
     if len(domain) < 2:
@@ -348,4 +342,4 @@ def prepare_dataset(node_path, edge_path, schema=None, pca_components=0,
     lookup = {name: i for i, name in enumerate(domain)}
     truth = np.array([lookup[lab] for lab in raw.labels], dtype=np.int64)
     graph = DataGraph.build(raw.edges, X, domain, known_labels={})
-    return PreparedDataset(graph=graph, truth=truth, ids=raw.ids, pca=pca)
+    return PreparedDataset(graph=graph, truth=truth, ids=raw.ids)

@@ -2,7 +2,9 @@
 
 A single partially labeled network: every node carries an attribute vector,
 a subset of nodes has a known class label, and the downstream task is to
-infer the labels of the remaining nodes. Relational features summarize the
+infer the labels of the remaining nodes. The graph alone owns that
+known/unknown split; a ``LabelState`` holds one labeling of the graph and
+can only write the unknown rows. Relational features summarize the
 labels currently assigned to a node's neighborhood, either as fractions of
 the neighborhood (for vector-based classifiers) or as raw per-class counts
 (for classifiers that treat each neighbor label as one observation).
@@ -22,21 +24,12 @@ import numpy as np
 from scipy.sparse import coo_array, csr_array
 
 __all__ = [
-    "UNSET",
-    "KNOWN",
-    "PREDICTED",
     "DataGraph",
     "LabelState",
-    "neighbors",
     "compute_proportion_features",
     "compute_multiset_features",
     "class_prior",
 ]
-
-# Provenance codes for LabelState.provenance.
-UNSET = 0
-KNOWN = 1
-PREDICTED = 2
 
 
 @dataclass(frozen=True)
@@ -123,12 +116,12 @@ class DataGraph:
         nodes.flags.writeable = False
         return nodes
 
-    @property
+    @cached_property
     def unknown_nodes(self) -> np.ndarray:
-        """Sorted indices of nodes whose label must be inferred."""
-        mask = np.ones(self.node_count, dtype=bool)
-        mask[self.known_nodes] = False
-        return np.flatnonzero(mask)
+        """Sorted indices of nodes to infer (computed once, read-only)."""
+        nodes = np.flatnonzero(~self.known_mask())
+        nodes.flags.writeable = False
+        return nodes
 
     def known_mask(self) -> np.ndarray:
         mask = np.zeros(self.node_count, dtype=bool)
@@ -148,59 +141,37 @@ class DataGraph:
 
 @dataclass
 class LabelState:
-    """Current hard label of every node plus where it came from.
+    """Current hard label of every node of one graph, -1 until predicted.
 
-    Nodes with a given label keep provenance ``KNOWN`` and may never be
-    reassigned. Inferred nodes carry ``PREDICTED``; ``UNSET`` marks nodes
-    that have not been labeled yet (before bootstrap). ``labels`` holds -1
-    for unset nodes. One state belongs to one inference run; it is mutable
-    and must not be shared across runs.
+    ``unknown_nodes`` is the graph's own read-only array, and
+    ``set_predicted`` writes exactly those rows, so known labels cannot
+    change. One state belongs to one inference run; it is mutable and
+    must not be shared across runs.
     """
 
     labels: np.ndarray
-    provenance: np.ndarray
+    unknown_nodes: np.ndarray
     n_classes: int
 
     @classmethod
     def from_graph(cls, graph: DataGraph) -> "LabelState":
         labels = np.full(graph.node_count, -1, dtype=np.int64)
-        provenance = np.full(graph.node_count, UNSET, dtype=np.uint8)
-        if graph.known_labels:
-            idx = graph.known_nodes
-            labels[idx] = [graph.known_labels[i] for i in idx]
-            provenance[idx] = KNOWN
-        return cls(labels=labels, provenance=provenance, n_classes=graph.n_classes)
+        labels[graph.known_nodes] = [graph.known_labels[i] for i in graph.known_nodes]
+        return cls(labels, graph.unknown_nodes, graph.n_classes)
 
     def copy(self) -> "LabelState":
-        return LabelState(self.labels.copy(), self.provenance.copy(), self.n_classes)
+        return LabelState(self.labels.copy(), self.unknown_nodes, self.n_classes)
 
-    @property
-    def all_labeled(self) -> bool:
-        return not np.any(self.provenance == UNSET)
-
-    def predicted_nodes(self) -> np.ndarray:
-        return np.flatnonzero(self.provenance == PREDICTED)
-
-    def set_predicted(self, nodes, labels) -> None:
-        """Assign predicted labels; refuses to touch known nodes."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+    def set_predicted(self, labels) -> None:
+        """Assign one predicted label per unknown node, in node order."""
         labels = np.asarray(labels, dtype=np.int64)
-        if nodes.shape != labels.shape:
-            raise ValueError("nodes and labels must have matching shapes")
-        if np.any(self.provenance[nodes] == KNOWN):
-            raise ValueError("known labels are immutable")
+        if labels.shape != self.unknown_nodes.shape:
+            raise ValueError(
+                f"expected {self.unknown_nodes.size} predicted labels, got shape {labels.shape}"
+            )
         if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
             raise ValueError("label index outside class domain")
-        self.labels[nodes] = labels
-        self.provenance[nodes] = PREDICTED
-
-
-def neighbors(graph: DataGraph, node: int) -> np.ndarray:
-    """Sorted, deduplicated neighbor indices of ``node``."""
-    if not 0 <= node < graph.node_count:
-        raise IndexError(f"node index {node} out of range [0, {graph.node_count})")
-    indptr = graph.adjacency.indptr
-    return graph.neighbor_ids[indptr[node] : indptr[node + 1]].copy()
+        self.labels[self.unknown_nodes] = labels
 
 
 def compute_multiset_features(graph: DataGraph, state: LabelState, within=None) -> np.ndarray:
@@ -239,22 +210,18 @@ def compute_proportion_features(graph: DataGraph, state: LabelState, within=None
     return out
 
 
-def class_prior(state: LabelState, known_only: bool = True, smoothing: float = 1.0) -> np.ndarray:
-    """Smoothed class distribution of the labeled nodes.
+def class_prior(graph: DataGraph, smoothing: float = 1.0) -> np.ndarray:
+    """Smoothed class distribution of the graph's known labels.
 
-    Counts labels over the known nodes (or over all labeled nodes when
-    ``known_only`` is false) and returns
-    ``(count_c + smoothing) / (N + n_classes * smoothing)``.
+    Returns ``(count_c + smoothing) / (N + n_classes * smoothing)`` over the
+    ``N`` known nodes: the default 1.0 is Laplace smoothing, and 0.0 gives
+    the plain known-label frequencies.
     """
     if smoothing < 0:
         raise ValueError("smoothing must be >= 0")
-    if not np.any(state.provenance == KNOWN):
+    if not graph.known_labels:
         raise ValueError("class prior requires at least one known label")
-    if known_only:
-        selected = state.provenance == KNOWN
-    else:
-        selected = state.provenance != UNSET
-    picked = state.labels[selected]
-    counts = np.bincount(picked, minlength=state.n_classes).astype(float)
-    total = picked.size + state.n_classes * smoothing
+    picked = np.fromiter(graph.known_labels.values(), dtype=np.int64)
+    counts = np.bincount(picked, minlength=graph.n_classes).astype(float)
+    total = picked.size + graph.n_classes * smoothing
     return (counts + smoothing) / total

@@ -238,18 +238,19 @@ def sample_known(graph: DataGraph, density: float, seed) -> np.ndarray:
     """Draw round(density * nodes) known nodes uniformly, sorted.
 
     Deterministic for a fixed seed. A density that rounds to zero nodes is
-    clamped to one with a warning.
+    clamped to one, and one that rounds to every node is clamped to all
+    but one, so that the test set is never empty; both warn.
     """
     if not 0.0 < density < 1.0:
         raise ValueError("density must be strictly between 0 and 1")
     n = graph.node_count
-    size = int(round(density * n))
-    if size < 1:
+    rounded = int(round(density * n))
+    size = min(max(rounded, 1), n - 1)
+    if size != rounded:
         warnings.warn(
-            f"density {density} rounds to 0 known nodes on {n}; clamping to 1",
+            f"density {density} rounds to {rounded} known nodes on {n}; clamping to {size}",
             stacklevel=2,
         )
-        size = 1
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
 
@@ -481,8 +482,7 @@ def run_experiment(config: ExperimentConfig, progress=None,
                 {int(i): int(truth[i]) for i in known_nodes}
             )
             unknown = trial_graph.unknown_nodes
-            trial_state = LabelState.from_graph(trial_graph)
-            target = class_prior(trial_state, known_only=True, smoothing=1.0)
+            target = class_prior(trial_graph)
 
             cv_seed = np.random.SeedSequence((config.master_seed, d_idx, trial, 1))
             cv_cache: dict[bool, tuple] = {}

@@ -22,6 +22,7 @@ from .classifiers import lr_predict_proba
 from .graph import (
     DataGraph,
     LabelState,
+    class_prior,
     compute_multiset_features,
     compute_proportion_features,
 )
@@ -47,28 +48,18 @@ class ICAConfig:
 
 @dataclass(frozen=True)
 class WvrnConfig:
-    """Stopping rule and initialization for relational-only propagation.
-
-    ``init`` seeds unknown nodes with the class distribution of the known
-    labels (``"class-prior"``, unsmoothed) or with ``"uniform"``. ``decay``
-    blends each sweep's update with the previous distribution using weight
-    ``decay ** sweep``; the default 1.0 disables the blend (full updates).
-    """
+    """Stopping rule for relational-only propagation (Macskassy & Provost
+    2007): sweeps run until the largest change falls below
+    ``convergence_tol`` or ``max_iterations`` sweeps have run."""
 
     max_iterations: int = 100
     convergence_tol: float = 1e-4
-    init: str = "class-prior"
-    decay: float = 1.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if self.init not in ("class-prior", "uniform"):
-            raise ValueError("init must be 'class-prior' or 'uniform'")
-        if not 0.0 < self.decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
 
 
 def iterate(step, state, n: int):
@@ -115,7 +106,7 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
 
     attrs = graph.attributes
     p0 = lr_predict_proba(bootstrap_model, attrs[unknown])
-    state.set_predicted(unknown, np.argmax(p0, axis=1))
+    state.set_predicted(np.argmax(p0, axis=1))
 
     def round_(state):
         state = state.copy()
@@ -124,58 +115,48 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
         proba = node_model.predict_proba(
             attrs[unknown], proportions[unknown], counts[unknown]
         )
-        state.set_predicted(unknown, np.argmax(proba, axis=1))
+        state.set_predicted(np.argmax(proba, axis=1))
         return state
 
     return iterate(round_, state, config.iterations)
 
 
-def wvrn_rl(graph: DataGraph, known_labels=None, config: WvrnConfig | None = None,
+def wvrn_rl(graph: DataGraph, config: WvrnConfig | None = None,
             return_distributions: bool = False):
     """Relational-only inference by repeated neighbor averaging.
 
     Known nodes hold fixed one-hot distributions. Unknown nodes start from
-    the configured init and are updated simultaneously each sweep to the
-    mean of their neighbors' current distributions. Sweeps stop when the
-    largest single-entry change falls below ``convergence_tol`` or after
-    ``max_iterations``. The returned labeling takes each unknown node's
-    argmax, lowest index on ties.
+    the unsmoothed class distribution of the known labels and are updated
+    simultaneously each sweep to the mean of their neighbors' current
+    distributions. Sweeps stop when the largest single-entry change falls
+    below ``convergence_tol`` or after ``max_iterations``. The returned
+    labeling takes each unknown node's argmax, lowest index on ties.
 
-    ``known_labels`` may override the graph's own known set for this call.
     With ``return_distributions`` the result is ``(state, dist)`` where
     ``dist`` is the final (nodes x classes) matrix, known rows one-hot.
     """
     if config is None:
         config = WvrnConfig()
-    if known_labels is not None:
-        graph = graph.with_known_labels(known_labels)
     if not graph.known_labels:
         raise ValueError("relational-only inference needs at least one known label")
 
-    n, c = graph.node_count, graph.n_classes
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
     known = graph.known_nodes
-    dist = np.zeros((n, c))
+    dist = np.zeros((graph.node_count, graph.n_classes))
     dist[known, state.labels[known]] = 1.0
     if unknown.size == 0:
         return (state, dist) if return_distributions else state
-    if config.init == "class-prior":
-        counts = np.bincount(state.labels[known], minlength=c).astype(float)
-        dist[unknown] = counts / counts.sum()
-    else:
-        dist[unknown] = 1.0 / c
+    dist[unknown] = class_prior(graph, smoothing=0.0)
 
     inv_degree = 1.0 / graph.degrees.astype(float)
 
-    for sweep in range(config.max_iterations):
-        neighbor_mean = (graph.adjacency @ dist) * inv_degree[:, None]
-        w = config.decay ** sweep
-        updated = w * neighbor_mean[unknown] + (1.0 - w) * dist[unknown]
+    for _ in range(config.max_iterations):
+        updated = ((graph.adjacency @ dist) * inv_degree[:, None])[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))
         dist[unknown] = updated
         if delta < config.convergence_tol:
             break
 
-    state.set_predicted(unknown, np.argmax(dist[unknown], axis=1))
+    state.set_predicted(np.argmax(dist[unknown], axis=1))
     return (state, dist) if return_distributions else state

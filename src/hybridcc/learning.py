@@ -270,10 +270,10 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
     m_a = _train_attribute_model(graph, spec)
     if unknown.size == 0:
         return state
-    prior = class_prior(state, known_only=True, smoothing=1.0)
+    prior = class_prior(graph)
 
     p0 = lr_predict_proba(m_a, graph.attributes[unknown])
-    state.set_predicted(unknown, np.argmax(p0, axis=1))
+    state.set_predicted(np.argmax(p0, axis=1))
 
     train_nodes = (
         np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
@@ -309,7 +309,7 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
     if graph.unknown_nodes.size == 0:
         return state
     m_a = _train_attribute_model(graph, spec)
-    prior = class_prior(state, known_only=True, smoothing=1.0)
+    prior = class_prior(graph)
     node_model = _train_node_model(
         graph, state, spec, graph.known_nodes, prior,
         neighbor_mask=graph.known_mask(), diagnostics=diagnostics,
@@ -321,9 +321,7 @@ def attr_only(graph: DataGraph, spec: ClassifierSpec) -> LabelState:
     """One-shot attribute-only prediction; no relational features, no loop."""
     _require_known(graph)
     state = LabelState.from_graph(graph)
-    unknown = graph.unknown_nodes
     m_a = _train_attribute_model(graph, spec)
-    if unknown.size:
-        proba = lr_predict_proba(m_a, graph.attributes[unknown])
-        state.set_predicted(unknown, np.argmax(proba, axis=1))
+    proba = lr_predict_proba(m_a, graph.attributes[graph.unknown_nodes])
+    state.set_predicted(np.argmax(proba, axis=1))
     return state

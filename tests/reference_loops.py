@@ -19,13 +19,13 @@ def full_budget_ica(graph, bootstrap_model, node_model, iterations):
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
     attrs = graph.attributes
-    state.set_predicted(unknown, np.argmax(lr_predict_proba(bootstrap_model, attrs[unknown]), axis=1))
+    state.set_predicted(np.argmax(lr_predict_proba(bootstrap_model, attrs[unknown]), axis=1))
     history = [state.labels.copy()]
     for _ in range(iterations):
         proportions = compute_proportion_features(graph, state)
         counts = compute_multiset_features(graph, state)
         proba = node_model.predict_proba(attrs[unknown], proportions[unknown], counts[unknown])
-        state.set_predicted(unknown, np.argmax(proba, axis=1))
+        state.set_predicted(np.argmax(proba, axis=1))
         history.append(state.labels.copy())
     return state, history
 
@@ -37,8 +37,8 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
     m_a = _train_attribute_model(graph, spec)
-    prior = class_prior(state, known_only=True, smoothing=1.0)
-    state.set_predicted(unknown, np.argmax(lr_predict_proba(m_a, graph.attributes[unknown]), axis=1))
+    prior = class_prior(graph)
+    state.set_predicted(np.argmax(lr_predict_proba(m_a, graph.attributes[unknown]), axis=1))
     train_nodes = np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
     history, ica_runs = [state.labels.copy()], []
     for _ in range(variant.n_iterations):

@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcc.graph import (
-    KNOWN,
-    PREDICTED,
-    UNSET,
     DataGraph,
     LabelState,
     class_prior,
     compute_multiset_features,
     compute_proportion_features,
-    neighbors,
 )
 
 
@@ -34,13 +30,11 @@ def test_build_symmetrizes_and_deduplicates():
     )
     assert g.node_count == 3
     assert list(g.degrees) == [1, 2, 1]
-    assert set(neighbors(g, 1).tolist()) == {0, 2}
-    # the self loop on node 2 is dropped, not counted as degree
-    assert list(neighbors(g, 2)) == [1]
     A = g.adjacency
     assert A.has_canonical_format
     assert np.all(A.data == 1)
     assert np.array_equal(A.toarray(), A.toarray().T)
+    # the self loop on node 2 is dropped, not counted as degree
     assert A.toarray().tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
 
 
@@ -70,25 +64,31 @@ def test_known_label_bookkeeping():
     assert list(g.unknown_nodes) == [0, 2]
     assert g.known_mask().sum() == 2
     st0 = LabelState.from_graph(g)
-    assert list(st0.provenance) == [UNSET, KNOWN, UNSET, KNOWN]
-    assert st0.labels[1] == 0 and st0.labels[3] == 1
-    assert st0.labels[0] == -1
+    assert st0.unknown_nodes is g.unknown_nodes
+    assert st0.labels.tolist() == [-1, 0, -1, 1]
+    assert st0.copy().unknown_nodes is g.unknown_nodes
 
 
 def test_known_labels_are_immutable():
-    g = line_graph(3, known={0: 1})
+    """``set_predicted`` writes the unknown rows in node order and nothing
+    else, so no predicted vector can change a known label."""
+    g = line_graph(5, known={0: 1, 3: 0})
     st0 = LabelState.from_graph(g)
-    with pytest.raises(ValueError, match="immutable"):
-        st0.set_predicted(np.array([0]), np.array([0]))
+    for predicted in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
+        st0.set_predicted(predicted)
+        assert st0.labels[[0, 3]].tolist() == [1, 0]
+        assert st0.labels[[1, 2, 4]].tolist() == predicted
 
 
-def test_set_predicted_marks_provenance():
-    g = line_graph(3, known={0: 1})
+def test_set_predicted_rejects_a_vector_not_matching_the_unknown_set():
+    g = line_graph(4, known={1: 0})
     st0 = LabelState.from_graph(g)
-    st0.set_predicted(np.array([1, 2]), np.array([0, 1]))
-    assert st0.all_labeled
-    assert list(st0.provenance) == [KNOWN, PREDICTED, PREDICTED]
-    assert list(st0.predicted_nodes()) == [1, 2]
+    for bad in ([0, 1], [0, 1, 1, 0], [[0, 1, 1]]):
+        with pytest.raises(ValueError, match="expected 3 predicted labels"):
+            st0.set_predicted(bad)
+    with pytest.raises(ValueError, match="outside class domain"):
+        st0.set_predicted([0, 2, 1])
+    assert st0.labels.tolist() == [-1, 0, -1, -1]
 
 
 def test_with_known_labels_leaves_original_untouched():
@@ -115,13 +115,17 @@ def test_known_nodes_are_computed_once_read_only_and_per_graph():
     assert empty.known_nodes.size == 0
     assert empty.unknown_nodes.tolist() == [0, 1, 2, 3]
     assert not empty.known_mask().any()
+    unknown = h.unknown_nodes
+    assert h.unknown_nodes is unknown
+    with pytest.raises(ValueError, match="read-only"):
+        unknown[0] = 3
 
 
 def test_multiset_counts_on_a_path():
     # 0(c0) - 1 - 2(c1), node 1 predicted c1
     g = line_graph(3, known={0: 0, 2: 1})
     st0 = LabelState.from_graph(g)
-    st0.set_predicted(np.array([1]), np.array([1]))
+    st0.set_predicted([1])
     counts = compute_multiset_features(g, st0)
     assert counts.tolist() == [[0, 1], [1, 1], [0, 1]]
     props = compute_proportion_features(g, st0)
@@ -148,21 +152,22 @@ def test_within_mask_restricts_to_chosen_neighbors():
 
 def test_class_prior_uses_laplace_smoothing():
     g = line_graph(5, known={0: 0, 1: 0, 2: 1})
-    prior = class_prior(LabelState.from_graph(g), known_only=True, smoothing=1.0)
+    prior = class_prior(g, smoothing=1.0)
     assert np.allclose(prior, [0.6, 0.4])  # (2+1)/(3+2), (1+1)/(3+2)
 
 
 def test_class_prior_unsmoothed():
     g = line_graph(4, known={0: 0, 1: 0, 2: 0})
-    prior = class_prior(LabelState.from_graph(g), known_only=True, smoothing=0.0)
+    prior = class_prior(g, smoothing=0.0)
     assert prior.tolist() == [1.0, 0.0]
 
 
 def neighbor_count_loop(g, labels, within):
-    """Reference counts: one pass over ``neighbors()`` per node."""
+    """Reference counts: one pass over each node's adjacency row."""
+    indptr, indices = g.adjacency.indptr, g.adjacency.indices
     want = np.zeros((g.node_count, g.n_classes), dtype=np.int64)
     for u in range(g.node_count):
-        for v in neighbors(g, u):
+        for v in indices[indptr[u]:indptr[u + 1]]:
             if within[v]:
                 want[u, labels[v]] += 1
     return want
@@ -185,7 +190,7 @@ def test_feature_rows_account_for_every_neighbor(n, extra, seed):
     g = DataGraph.build(edges, np.zeros((n, 1)), ("x", "y", "z"))
     rng = np.random.default_rng(seed)
     st0 = LabelState.from_graph(g)
-    st0.set_predicted(np.arange(n), rng.integers(0, 3, size=n))
+    st0.set_predicted(rng.integers(0, 3, size=n))
     mask = rng.random(n) < 0.5
     for within in (None, mask):
         counts = compute_multiset_features(g, st0, within=within)

@@ -137,10 +137,12 @@ def test_sample_known_size_follows_rounding():
 
 
 def test_sample_known_clamps_to_one_with_warning():
-    g = chain_graph(20)
-    with pytest.warns(UserWarning, match="clamping"):
-        picks = sample_known(g, 0.01, seed=0)
-    assert picks.size == 1
+    """Clamped to one known node when the density rounds to none, and to
+    all but one when it rounds to every node, so a test set remains."""
+    for n, density, want in ((20, 0.01, 1), (3, 0.9, 2), (2, 0.8, 1)):
+        with pytest.warns(UserWarning, match=f"clamping to {want}"):
+            picks = sample_known(chain_graph(n), density, seed=0)
+        assert picks.size == want
 
 
 def test_sample_known_seeded_determinism():
@@ -230,7 +232,7 @@ def test_pick_best_breaks_ties_toward_smaller_values():
 
 
 def test_accuracy_counts_matches_only():
-    state = LabelState(np.array([0, 1, 1, -1]), np.array([2, 2, 2, 0], dtype=np.uint8), 2)
+    state = LabelState.from_graph(chain_graph(4, known={0: 0, 1: 1, 2: 1}))
     truth = np.array([0, 0, 1, 1])
     assert accuracy(state, truth, np.array([0, 1, 2])) == pytest.approx(2 / 3)
     with pytest.raises(ValueError, match="empty"):
@@ -268,7 +270,8 @@ def test_paired_t_test_input_validation():
 def test_degenerate_flag_requires_both_conditions():
     n = 20
     labels = np.zeros(n, dtype=np.int64)
-    state = LabelState(labels, np.full(n, 2, dtype=np.uint8), 2)
+    state = LabelState.from_graph(chain_graph(n))
+    state.set_predicted(labels)
     nodes = np.arange(n)
     # piled onto class 0 while the target calls class 0 a minority
     assert degenerate_flag(state, nodes, np.array([0.3, 0.7]))
@@ -276,7 +279,8 @@ def test_degenerate_flag_requires_both_conditions():
     assert not degenerate_flag(state, nodes, np.array([0.8, 0.2]))
     mixed = labels.copy()
     mixed[: n // 2] = 1
-    state2 = LabelState(mixed, np.full(n, 2, dtype=np.uint8), 2)
+    state2 = LabelState.from_graph(chain_graph(n))
+    state2.set_predicted(mixed)
     assert not degenerate_flag(state2, nodes, np.array([0.3, 0.7]))
 
 

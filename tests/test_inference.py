@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcc.classifiers import lr_train
-from hybridcc.graph import DataGraph, class_prior, LabelState
+from hybridcc.graph import DataGraph, LabelState
 from hybridcc.inference import ICAConfig, WvrnConfig, ica, iterate, wvrn_rl
 from hybridcc.learning import ClassifierSpec, ssl_learn, variant_from_name
 from hybridcc.synthetic import synthetic_graph
@@ -23,11 +23,9 @@ def test_ica_config_validation():
 
 def test_wvrn_config_validation():
     with pytest.raises(ValueError):
-        WvrnConfig(decay=0.0)
-    with pytest.raises(ValueError):
-        WvrnConfig(init="zeros")
-    with pytest.raises(ValueError):
         WvrnConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        WvrnConfig(convergence_tol=0.0)
 
 
 def homophilous_graph(seed=0):
@@ -57,7 +55,7 @@ def test_ica_keeps_known_labels_fixed():
     state = ica(tg, m_a, UniformNodeModel(2))
     for node, cls_idx in tg.known_labels.items():
         assert state.labels[node] == cls_idx
-    assert state.all_labeled
+    assert np.all(state.labels >= 0)
 
 
 def test_ica_is_deterministic():
@@ -126,7 +124,7 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
     assert periods[1] > 0 and periods[2] > 0, periods
 
 
-def solve_clamped_average(graph, config_decayless=True):
+def solve_clamped_average(graph):
     """Direct linear-system solution of the neighbor-averaging fixed point."""
     n, c = graph.node_count, graph.n_classes
     state = LabelState.from_graph(graph)
@@ -167,23 +165,6 @@ def test_wvrn_path_graph_interpolates_linearly():
     assert np.allclose(dist[:, 0], [1.0, 0.8, 0.6, 0.4, 0.2, 0.0], atol=1e-6)
 
 
-def test_wvrn_init_choice_does_not_change_the_fixed_point():
-    g = six_node_two_seed_graph()
-    cfg_p = WvrnConfig(max_iterations=20000, convergence_tol=1e-13, init="class-prior")
-    cfg_u = WvrnConfig(max_iterations=20000, convergence_tol=1e-13, init="uniform")
-    _, dp = wvrn_rl(g, config=cfg_p, return_distributions=True)
-    _, du = wvrn_rl(g, config=cfg_u, return_distributions=True)
-    assert np.max(np.abs(dp - du)) < 1e-6
-
-
-def test_wvrn_decay_damps_updates_but_converges_to_the_same_point():
-    g = six_node_two_seed_graph()
-    cfg = WvrnConfig(max_iterations=50000, convergence_tol=1e-13, decay=0.999)
-    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
-    want = solve_clamped_average(g)
-    assert np.max(np.abs(dist - want)) < 1e-3
-
-
 def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
     """The sparse-product sweep is bit-identical to summing each class's
     neighbor mass with one bincount per class."""
@@ -208,14 +189,11 @@ def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
     assert np.array_equal(dist, want)
 
 
-def test_wvrn_accepts_label_override_and_requires_knowns():
+def test_wvrn_requires_knowns():
     edges = [(0, 1), (1, 2)]
     g = DataGraph.build(edges, np.zeros((3, 1)), ("a", "b"))
     with pytest.raises(ValueError, match="at least one known"):
         wvrn_rl(g)
-    state = wvrn_rl(g, known_labels={0: 1})
-    assert state.labels[0] == 1
-    assert state.all_labeled
 
 
 def test_wvrn_prior_init_matches_known_label_frequencies():

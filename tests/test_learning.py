@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hybridcc.graph import DataGraph, class_prior, LabelState
+from hybridcc.graph import DataGraph, class_prior
 from hybridcc.inference import ICAConfig
 from hybridcc.learning import (
     CLASSIFIER_KINDS,
@@ -72,7 +72,7 @@ def test_every_kind_runs_under_every_variant():
         variant = variant_from_name(name, em_iterations=2)
         for kind in CLASSIFIER_KINDS:
             state = ssl_learn(tg, variant, ClassifierSpec(kind))
-            assert state.all_labeled
+            assert np.all(state.labels >= 0)
             for node, cls_idx in tg.known_labels.items():
                 assert state.labels[node] == cls_idx
 
@@ -196,8 +196,7 @@ def test_collective_methods_beat_attributes_on_strong_homophily():
 
 def test_prior_uses_known_nodes_only():
     tg, _ = labeled_graph(n=40, k=5, seed=11)
-    state = LabelState.from_graph(tg)
-    prior = class_prior(state, known_only=True, smoothing=1.0)
+    prior = class_prior(tg, smoothing=1.0)
     counts = np.bincount(
         [tg.known_labels[i] for i in tg.known_nodes], minlength=2
     ).astype(float)
