@@ -138,8 +138,12 @@ def _with_bias(X):
 
 
 def _log_softmax(logits):
-    peak = logits.max(axis=1, keepdims=True)
-    shifted = logits - peak
+    # A column loop takes the row max of a few columns far faster than
+    # max(axis=1), and max is exact in any order.
+    peak = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(peak, logits[:, j], out=peak)
+    shifted = logits - peak[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -315,15 +319,15 @@ def nb_relational_predict(model: NBRelationalModel, counts) -> np.ndarray:
     return np.exp(_nb_log_posterior(model, counts))
 
 
-def relational_log_proba(model, proportions, counts) -> np.ndarray:
+def relational_log_proba(model, features) -> np.ndarray:
     """Log posterior of a relational member on its own input.
 
-    A Naive Bayes member reads the neighbor-label ``counts``; a logistic
-    regression member reads the neighbor-label ``proportions``.
+    ``features`` holds neighbor-label counts for a Naive Bayes member and
+    neighbor-label proportions for a logistic regression member.
     """
     if isinstance(model, NBRelationalModel):
-        return _nb_log_posterior(model, counts)
-    return _lr_log_proba(model, proportions)
+        return _nb_log_posterior(model, features)
+    return _lr_log_proba(model, features)
 
 
 def hybrid_combine(log_p_attr, log_p_rel, prior) -> np.ndarray:
@@ -350,9 +354,10 @@ class HybridModel:
     """An attribute posterior and a relational posterior combined per node.
 
     ``relational_model`` is either an ``LRModel`` over proportion features
-    or an ``NBRelationalModel`` over multiset counts; ``relational_log_proba``
-    hands it the matching input. ``prior`` is the class distribution divided
-    out by the product rule and must be strictly positive.
+    or an ``NBRelationalModel`` over multiset counts, and ``reads_counts``
+    says which of the two the relational input of ``predict_proba`` must
+    be. ``prior`` is the class distribution divided out by the product rule
+    and must be strictly positive.
     """
 
     attribute_model: LRModel
@@ -365,22 +370,45 @@ class HybridModel:
             raise ValueError("hybrid prior entries must be strictly positive")
         object.__setattr__(self, "prior", prior)
 
-    def predict_proba(self, attributes, proportions, counts) -> np.ndarray:
-        return hybrid_combine(
-            _lr_log_proba(self.attribute_model, attributes),
-            relational_log_proba(self.relational_model, proportions, counts),
-            self.prior,
-        )
+    @property
+    def reads_counts(self) -> bool:
+        return isinstance(self.relational_model, NBRelationalModel)
+
+    def given_attributes(self, attributes):
+        """``predict_proba`` with the attribute rows fixed: the attribute
+        member is evaluated once, and the returned function takes only the
+        relational rows."""
+        log_p_attr = _lr_log_proba(self.attribute_model, attributes)
+
+        def predict(relational):
+            return hybrid_combine(
+                log_p_attr, relational_log_proba(self.relational_model, relational), self.prior
+            )
+
+        return predict
+
+    def predict_proba(self, attributes, relational) -> np.ndarray:
+        return self.given_attributes(attributes)(relational)
 
 
 @dataclass(frozen=True)
 class ConcatLRModel:
-    """Single logistic regression over attributes and proportion features."""
+    """Single logistic regression over attributes and proportion features.
+
+    Its relational input is the proportion rows (``reads_counts`` is
+    false). ``given_attributes`` keeps one ``hstack`` per call, because
+    splitting the logits into an attribute part and a proportion part
+    would change their summation order.
+    """
 
     model: LRModel
+    reads_counts = False
 
-    def predict_proba(self, attributes, proportions, counts) -> np.ndarray:
-        return lr_predict_proba(self.model, np.hstack([attributes, proportions]))
+    def given_attributes(self, attributes):
+        return lambda relational: self.predict_proba(attributes, relational)
+
+    def predict_proba(self, attributes, relational) -> np.ndarray:
+        return lr_predict_proba(self.model, np.hstack([attributes, relational]))
 
 
 def empirical_label_distribution(model: LRModel, unlabeled_features, beta=None) -> np.ndarray:

@@ -17,6 +17,7 @@ them through, so preprocessing cannot leak label information beyond the
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass
 
@@ -157,7 +158,10 @@ def load_dataset(node_path, edge_path) -> RawDataset:
     if not ids:
         raise DataError(f"{node_path}: no node rows found")
 
-    pairs = []
+    # One int64 key min*n + max per edge: sorting the keys sorts the
+    # (min, max) pairs, so one np.unique deduplicates and orders them.
+    n = len(ids)
+    keys = array.array("q")
     for lineno, line in _data_rows(edge_path):
         cells = line.split("\t")
         if len(cells) != 2:
@@ -168,11 +172,9 @@ def load_dataset(node_path, edge_path) -> RawDataset:
             raise DataError(f"{edge_path}: unknown node id at line {lineno}") from None
         if a == b:
             continue
-        pairs.append((min(a, b), max(a, b)))
-    if pairs:
-        edges = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
+        keys.append(a * n + b if a < b else b * n + a)
+    keys = np.unique(np.frombuffer(keys, dtype=np.int64))
+    edges = np.stack([keys // n, keys % n], axis=1)
 
     columns = tuple(
         np.asarray(col, dtype=float if kind == "real" else object)

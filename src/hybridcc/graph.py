@@ -200,14 +200,16 @@ def compute_proportion_features(graph: DataGraph, state: LabelState, within=None
     Row i is the normalized label histogram of node i's neighborhood, so
     entries lie in [0, 1] and sum to 1. With a ``within`` mask the histogram
     is taken over the unmasked neighbors only, and a node with no unmasked
-    neighbor gets an all-zero row.
+    neighbor gets an all-zero row. The integer row sums are taken column by
+    column, which is exact and far faster than ``sum(axis=1)`` over a few
+    columns.
     """
     counts = compute_multiset_features(graph, state, within)
-    denom = counts.sum(axis=1)
-    out = np.zeros(counts.shape, dtype=float)
-    nz = denom > 0
-    out[nz] = counts[nz] / denom[nz, None]
-    return out
+    denom = counts[:, 0].copy()
+    for j in range(1, counts.shape[1]):
+        denom += counts[:, j]
+    denom = denom[:, None]
+    return np.divide(counts, denom, out=np.zeros(counts.shape), where=denom > 0)
 
 
 def class_prior(graph: DataGraph, smoothing: float = 1.0) -> np.ndarray:

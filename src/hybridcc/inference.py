@@ -4,9 +4,9 @@ Two procedures:
 
 * ``ica``: iterative classification. Unknown nodes are bootstrapped from
   an attribute-only model, then up to a fixed number of synchronous rounds
-  recompute every node's relational features from the current labeling and
-  re-predict the unknown nodes with the full node model. Known labels are
-  never touched.
+  recompute the relational feature kind the node model reads from the
+  current labeling and re-predict the unknown nodes with the full node
+  model. Known labels are never touched.
 * ``wvrn_rl``: a no-learning baseline. Each node holds a class
   distribution; known nodes are clamped one-hot and every sweep replaces
   each unknown node's distribution with the mean of its neighbors'.
@@ -86,16 +86,20 @@ def iterate(step, state, n: int):
 def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None = None) -> LabelState:
     """Run iterative classification and return the final hard labeling.
 
-    ``bootstrap_model`` is an ``LRModel`` over attribute rows alone;
-    ``node_model`` must offer ``predict_proba(attributes, proportions,
-    counts)``. Every unknown node receives the argmax of its bootstrap
-    distribution, then each of the ``config.iterations`` rounds recomputes
-    both relational feature kinds from the complete current labeling and
-    reassigns every unknown node synchronously (all predictions use the
-    round's incoming labels). Ties in the per-node argmax go to the lowest
-    class index. A round is a deterministic function of its incoming
-    labeling, so the rounds stop at the first repeated labeling (a fixed
-    point or a cycle) and return the labeling the full budget would reach.
+    ``bootstrap_model`` is an ``LRModel`` over attribute rows alone.
+    ``node_model`` must offer ``reads_counts`` (whether its relational
+    input is neighbor-label counts or proportions) and
+    ``given_attributes(attributes)``, its ``predict_proba`` as a function
+    of the relational rows alone; ``ica`` calls it once, so a hybrid's
+    attribute member is evaluated once per call, not once per round.
+    Every unknown node receives the argmax of its bootstrap distribution,
+    then each of the ``config.iterations`` rounds computes the feature kind
+    the node model reads from the complete current labeling and reassigns
+    every unknown node synchronously (all predictions use the round's
+    incoming labels). Ties in the per-node argmax go to the lowest class
+    index. A round is a deterministic function of its incoming labeling,
+    so the rounds stop at the first repeated labeling (a fixed point or a
+    cycle) and return the labeling the full budget would reach.
     """
     if config is None:
         config = ICAConfig()
@@ -104,17 +108,17 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
     if unknown.size == 0:
         return state
 
-    attrs = graph.attributes
-    p0 = lr_predict_proba(bootstrap_model, attrs[unknown])
+    attrs = graph.attributes[unknown]
+    p0 = lr_predict_proba(bootstrap_model, attrs)
     state.set_predicted(np.argmax(p0, axis=1))
+    compute_features = (
+        compute_multiset_features if node_model.reads_counts else compute_proportion_features
+    )
+    predict = node_model.given_attributes(attrs)
 
     def round_(state):
         state = state.copy()
-        proportions = compute_proportion_features(graph, state)
-        counts = compute_multiset_features(graph, state)
-        proba = node_model.predict_proba(
-            attrs[unknown], proportions[unknown], counts[unknown]
-        )
+        proba = predict(compute_features(graph, state)[unknown])
         state.set_predicted(np.argmax(proba, axis=1))
         return state
 

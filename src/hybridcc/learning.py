@@ -191,9 +191,11 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
     """Step-5 training: fit the node classifier on ``train_nodes``.
 
     Relational features come from the full current labeling, or from the
-    ``neighbor_mask`` subset when given. For hybrid specs the relational
-    member is fitted first; ``+reg`` specs then freeze its predictions into
-    the per-node multipliers for label-regularized attribute training.
+    ``neighbor_mask`` subset when given; only the kind the node model reads
+    is computed (counts for Naive Bayes members, proportions otherwise).
+    For hybrid specs the relational member is fitted first; ``+reg`` specs
+    then freeze its predictions into the per-node multipliers for
+    label-regularized attribute training.
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     labels = state.labels[train_nodes]
@@ -202,24 +204,24 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
     if diagnostics is not None:
         diagnostics.setdefault("train_sizes", []).append(int(train_nodes.size))
 
-    proportions = compute_proportion_features(graph, state, within=neighbor_mask)
-    counts = compute_multiset_features(graph, state, within=neighbor_mask)
+    compute_features = compute_multiset_features if spec.uses_nb else compute_proportion_features
+    features = compute_features(graph, state, within=neighbor_mask)
     attrs = graph.attributes
     c = graph.n_classes
 
     if not spec.hybrid:
-        X = np.hstack([attrs[train_nodes], proportions[train_nodes]])
+        X = np.hstack([attrs[train_nodes], features[train_nodes]])
         return ConcatLRModel(lr_train(X, labels, spec.sigma_sq, n_classes=c))
 
     if spec.uses_nb:
         rel_model = nb_relational_train(
-            counts[train_nodes], labels, spec.nb_alpha, n_classes=c
+            features[train_nodes], labels, spec.nb_alpha, n_classes=c
         )
         if rel_model.missing_classes and diagnostics is not None:
             diagnostics.setdefault("nb_missing_classes", []).append(rel_model.missing_classes)
     else:
         rel_model = lr_train(
-            proportions[train_nodes], labels, spec.sigma_sq, n_classes=c
+            features[train_nodes], labels, spec.sigma_sq, n_classes=c
         )
 
     if spec.label_reg is None:
@@ -229,7 +231,7 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
         unknown = graph.unknown_nodes
 
         def beta_for(rows):
-            log_p_rel = relational_log_proba(rel_model, proportions[rows], counts[rows])
+            log_p_rel = relational_log_proba(rel_model, features[rows])
             return np.clip(np.exp(log_p_rel - np.log(prior)), BETA_FLOOR, None)
 
         config = LabelRegConfig(

@@ -1,5 +1,7 @@
 """Reference loops for the early-exit tests: EM and ICA with every
-iteration and every round run, however early the labeling repeats."""
+iteration and every round run, however early the labeling repeats, and
+each ICA round computed the long way (both feature kinds, the attribute
+member re-evaluated)."""
 
 import numpy as np
 
@@ -14,8 +16,10 @@ from hybridcc.learning import _train_attribute_model, _train_node_model
 
 
 def full_budget_ica(graph, bootstrap_model, node_model, iterations):
-    """Reference ICA that always runs every round. Returns the final state
-    and the labeling after the bootstrap and after each round."""
+    """Reference ICA that always runs every round. Every round computes
+    both feature kinds and evaluates the whole node model, attribute
+    member included. Returns the final state and the labeling after the
+    bootstrap and after each round."""
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
     attrs = graph.attributes
@@ -24,7 +28,8 @@ def full_budget_ica(graph, bootstrap_model, node_model, iterations):
     for _ in range(iterations):
         proportions = compute_proportion_features(graph, state)
         counts = compute_multiset_features(graph, state)
-        proba = node_model.predict_proba(attrs[unknown], proportions[unknown], counts[unknown])
+        relational = counts if node_model.reads_counts else proportions
+        proba = node_model.predict_proba(attrs[unknown], relational[unknown])
         state.set_predicted(np.argmax(proba, axis=1))
         history.append(state.labels.copy())
     return state, history
@@ -47,6 +52,21 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
         ica_runs.append((m_a, node_model, ica_history))
         history.append(state.labels.copy())
     return history, ica_runs
+
+
+def full_budget_no_ssl(graph, spec, ica_iterations):
+    """Reference ``no_ssl``: a node model trained on the known nodes with
+    only known neighbors counted, then one full-budget ICA. Returns the
+    final labeling as a one-entry history, plus the (bootstrap model, node
+    model, ICA history)."""
+    spec = spec.without_label_reg()
+    m_a = _train_attribute_model(graph, spec)
+    node_model = _train_node_model(
+        graph, LabelState.from_graph(graph), spec, graph.known_nodes, class_prior(graph),
+        neighbor_mask=graph.known_mask(),
+    )
+    state, ica_history = full_budget_ica(graph, m_a, node_model, ica_iterations)
+    return [state.labels.copy()], [(m_a, node_model, ica_history)]
 
 
 def first_repeat_period(history):

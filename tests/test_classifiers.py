@@ -5,6 +5,7 @@ import pytest
 from scipy.special import logsumexp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hybridcc.classifiers import (
     ConcatLRModel,
@@ -21,6 +22,7 @@ from hybridcc.classifiers import (
     lr_train_label_reg,
     nb_relational_predict,
     nb_relational_train,
+    _log_softmax,
 )
 
 
@@ -187,16 +189,19 @@ def test_hybrid_model_dispatches_on_member_type():
         relational_model=lr_train(props, labels, sigma_sq=1.0),
         prior=prior,
     )
-    p_nb = nb.predict_proba(attrs, props, counts)
-    p_lr = lr.predict_proba(attrs, props, counts)
+    # NB member reads counts, LR member reads proportions
+    assert nb.reads_counts and not lr.reads_counts
+    assert not ConcatLRModel(m_attr).reads_counts
+    p_nb = nb.predict_proba(attrs, counts)
+    p_lr = lr.predict_proba(attrs, props)
     assert np.allclose(p_nb.sum(axis=1), 1.0)
     assert np.allclose(p_lr.sum(axis=1), 1.0)
     # NB member must consume counts: scaling counts changes its output
-    p_nb2 = nb.predict_proba(attrs, props, counts * 3.0)
+    p_nb2 = nb.predict_proba(attrs, counts * 3.0)
     assert not np.allclose(p_nb, p_nb2)
-    # LR member must consume proportions: scaling counts leaves it alone
-    p_lr2 = lr.predict_proba(attrs, props, counts * 3.0)
-    assert np.allclose(p_lr, p_lr2)
+    # the attribute member evaluated once gives the same bits
+    assert np.array_equal(nb.given_attributes(attrs)(counts * 3.0), p_nb2)
+    assert np.array_equal(lr.given_attributes(attrs)(props), p_lr)
 
 
 def test_hybrid_combine_survives_disjoint_underflowed_support():
@@ -217,7 +222,7 @@ def test_hybrid_model_is_exact_when_both_members_underflow():
     attrs = np.array([[-300.0]])
     counts = np.array([[600.0, 0.0]])
     model = HybridModel(attribute_model=attr, relational_model=nb, prior=nb.class_prior)
-    p = model.predict_proba(attrs, counts / 600.0, counts)
+    p = model.predict_proba(attrs, counts)
 
     attr_logits = attrs @ attr.weights[:, :-1].T
     exact = np.argmax(attr_logits + counts @ np.log(nb.neighbor_table).T, axis=1)
@@ -238,7 +243,25 @@ def test_single_vector_inputs_are_rejected():
     with pytest.raises(ValueError):
         hybrid_combine(np.log(vec), np.log(vec), vec)
     with pytest.raises(ValueError):
-        concat.predict_proba(np.array([1.0]), vec, vec)
+        concat.predict_proba(np.array([1.0]), vec)
+
+
+# A few shared values make tied row maxima common; the wide floats reach
+# magnitudes where a difference of two logits is still finite.
+LOGITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 700.0, -745.0, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logits=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(2, 12)), elements=LOGITS))
+def test_log_softmax_equals_the_row_max_form(logits):
+    """The column-loop row max gives the bits of ``max(axis=1)``."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert np.array_equal(_log_softmax(logits), want)
 
 
 @settings(max_examples=40, deadline=None)

@@ -106,6 +106,25 @@ def test_edges_deduplicate_and_drop_self_loops(tmp_path):
     assert raw.edges.tolist() == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_edges_equal_the_unique_sorted_pairs(tmp_path, seed):
+    """The per-edge keys give the rows, order, dtype and shape of
+    ``np.unique`` over the (min, max) pairs; no edge left gives (0, 2)."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    ends = rng.integers(0, n, size=(200, 2))
+    nodes = "id\tlabel\treal\n" + "".join(f"v{i}\ta\t1.0\n" for i in range(n))
+    edges = "".join(f"v{a}\tv{b}\n" for a, b in ends)
+    raw = load_dataset(*small_files(tmp_path, nodes=nodes, edges=edges))
+    pairs = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1).astype(np.int64)
+    want = np.unique(pairs, axis=0)
+    assert raw.edges.dtype == np.int64 and raw.edges.shape == want.shape
+    assert np.array_equal(raw.edges, want)
+
+    raw = load_dataset(*small_files(tmp_path, nodes=nodes, edges="v3\tv3\n"))
+    assert raw.edges.dtype == np.int64 and raw.edges.shape == (0, 2)
+
+
 def test_remove_isolated_remaps_edges(tmp_path):
     np_, ep = small_files(
         tmp_path,

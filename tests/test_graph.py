@@ -206,3 +206,37 @@ def test_feature_rows_account_for_every_neighbor(n, extra, seed):
     assert np.array_equal(counts.sum(axis=1), g.degrees)
     props = compute_proportion_features(g, st0)
     assert np.allclose(props.sum(axis=1), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=60),
+    c=st.integers(min_value=2, max_value=12),
+    extra=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=80),
+    hub=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_proportions_equal_the_masked_division(n, c, extra, hub, seed):
+    """The column-loop row sums and ``np.divide(where=)`` give the bits of
+    dividing the nonzero rows by their ``sum(axis=1)``, zero rows included."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(a % n, b % n) for a, b in extra]
+    if hub:
+        edges += [(0, i) for i in range(1, n)]
+    g = DataGraph.build(edges, np.zeros((n, 1)), tuple(f"c{k}" for k in range(c)))
+    rng = np.random.default_rng(seed)
+    state = LabelState.from_graph(g)
+    state.set_predicted(rng.integers(0, c, size=n))
+    # node n-1 has no neighbor inside the mask, so its row is all zero
+    mask = rng.random(n) < rng.random()
+    mask[g.adjacency.indices[g.adjacency.indptr[n - 1]:]] = False
+    for within in (None, mask):
+        counts = compute_multiset_features(g, state, within=within)
+        denom = counts.sum(axis=1)
+        want = np.zeros(counts.shape)
+        nz = denom > 0
+        want[nz] = counts[nz] / denom[nz, None]
+        got = compute_proportion_features(g, state, within=within)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+    assert not got[n - 1].any()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcc.classifiers import lr_train
-from hybridcc.graph import DataGraph, LabelState
+from hybridcc.graph import DataGraph, LabelState, compute_proportion_features
 from hybridcc.inference import ICAConfig, WvrnConfig, ica, iterate, wvrn_rl
 from hybridcc.learning import ClassifierSpec, ssl_learn, variant_from_name
 from hybridcc.synthetic import synthetic_graph
@@ -41,10 +41,15 @@ def sparsely_label(graph, truth, k=6, seed=1):
 class UniformNodeModel:
     """Ignores all features; used to pin down bootstrap behavior."""
 
+    reads_counts = False
+
     def __init__(self, n_classes):
         self.n_classes = n_classes
 
-    def predict_proba(self, attributes, proportions, counts):
+    def given_attributes(self, attributes):
+        return lambda relational: self.predict_proba(attributes, relational)
+
+    def predict_proba(self, attributes, relational):
         return np.full((attributes.shape[0], self.n_classes), 1.0 / self.n_classes)
 
 
@@ -113,15 +118,24 @@ def test_iterate_equals_the_plain_loop(succ, data, n):
 
 
 def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
-    """Early exit equals the full round budget, on runs that reach fixed
-    points and 2-cycles."""
+    """Early exit with one feature kind per round and the attribute member
+    evaluated once equals the full round budget computed the long way, on
+    runs that reach fixed points and 2-cycles, for every node model kind,
+    including no_ssl models trained on all-zero proportion rows."""
     periods = Counter()
+    zero_rows = 0
     for graph, variant, spec, _, ica_runs in full_budget_runs:
+        if variant is None and not spec.uses_nb:
+            masked = compute_proportion_features(
+                graph, LabelState.from_graph(graph), within=graph.known_mask()
+            )
+            zero_rows += int(np.sum(~masked.any(axis=1)))
         for m_a, node_model, history in ica_runs:
             state = ica(graph, m_a, node_model, ICAConfig(iterations=len(history) - 1))
             assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
             periods[first_repeat_period(history)] += 1
     assert periods[1] > 0 and periods[2] > 0, periods
+    assert zero_rows > 0
 
 
 def solve_clamped_average(graph):

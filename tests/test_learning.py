@@ -106,7 +106,10 @@ def test_em_stops_early_with_the_full_budget_labeling(full_budget_runs):
     fixed points and 2-cycles."""
     periods = Counter()
     for graph, variant, spec, history, _ in full_budget_runs:
-        state = ssl_learn(graph, variant, spec, ica_config=ICAConfig(iterations=10))
+        if variant is None:
+            state = no_ssl(graph, spec, ica_config=ICAConfig(iterations=10))
+        else:
+            state = ssl_learn(graph, variant, spec, ica_config=ICAConfig(iterations=10))
         assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
         periods[first_repeat_period(history)] += 1
     assert periods[1] > 0 and periods[2] > 0, periods
