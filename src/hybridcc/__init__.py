@@ -43,12 +43,11 @@ from .classifiers import (
     nb_relational_predict,
     nb_relational_train,
 )
-from .inference import ICAConfig, WvrnConfig, ica, wvrn_rl
+from .inference import ica, wvrn_rl
 from .learning import (
     CLASSIFIER_KINDS,
     SSL_VARIANT_NAMES,
     ClassifierSpec,
-    LabelRegSettings,
     SslVariant,
     attr_only,
     no_ssl,
@@ -57,7 +56,6 @@ from .learning import (
 )
 from .data import (
     DataError,
-    PcaTransform,
     PreparedDataset,
     RawDataset,
     binarize_categorical,
@@ -92,10 +90,10 @@ __all__ = [
     "nb_relational_train", "nb_relational_predict", "hybrid_combine",
     "empirical_label_distribution", "kl_penalty", "label_reg_gradient",
     "lr_train_label_reg",
-    "ICAConfig", "WvrnConfig", "ica", "wvrn_rl",
-    "SslVariant", "ClassifierSpec", "LabelRegSettings", "SSL_VARIANT_NAMES",
+    "ica", "wvrn_rl",
+    "SslVariant", "ClassifierSpec", "SSL_VARIANT_NAMES",
     "CLASSIFIER_KINDS", "variant_from_name", "ssl_learn", "no_ssl", "attr_only",
-    "DataError", "RawDataset", "PcaTransform", "PreparedDataset",
+    "DataError", "RawDataset", "PreparedDataset",
     "load_dataset", "remove_isolated", "binarize_categorical",
     "pca_fit_transform", "normalize_features", "prepare_dataset",
     "SyntheticDataset", "generate_dataset", "synthetic_graph", "write_dataset",

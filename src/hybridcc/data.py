@@ -28,7 +28,6 @@ from .graph import DataGraph
 __all__ = [
     "DataError",
     "RawDataset",
-    "PcaTransform",
     "PreparedDataset",
     "load_dataset",
     "remove_isolated",
@@ -226,28 +225,9 @@ def binarize_categorical(raw: RawDataset) -> RawDataset:
     )
 
 
-@dataclass(frozen=True)
-class PcaTransform:
-    """Fitted principal-component projection.
-
-    ``components`` is (d x k) with orthonormal columns in descending
-    eigenvalue order; each column's largest-magnitude entry is positive so
-    repeated fits are bit-identical. ``eigenvalues`` holds the top-k
-    covariance eigenvalues.
-    """
-
-    mean: np.ndarray
-    components: np.ndarray
-    k: int
-    eigenvalues: np.ndarray
-
-    def transform(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return (X - self.mean) @ self.components
-
-
-def pca_fit_transform(X, k) -> tuple[PcaTransform, np.ndarray]:
-    """Fit PCA on all rows and project onto the top-k components.
+def pca_fit_transform(X, k) -> np.ndarray:
+    """Fit PCA on all rows and return their projection onto the top-k
+    components.
 
     Eigen-decomposition of the sample covariance (rows are observations).
     Deterministic: eigenvalues sorted descending, each component's sign
@@ -261,8 +241,7 @@ def pca_fit_transform(X, k) -> tuple[PcaTransform, np.ndarray]:
         raise ValueError("PCA needs at least 2 rows")
     if not 1 <= k <= min(n, d):
         raise ValueError(f"k must be in [1, {min(n, d)}], got {k}")
-    mean = X.mean(axis=0)
-    centered = X - mean
+    centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:k]
@@ -271,11 +250,7 @@ def pca_fit_transform(X, k) -> tuple[PcaTransform, np.ndarray]:
         col = components[:, j]
         if col[np.argmax(np.abs(col))] < 0:
             components[:, j] = -col
-    transform = PcaTransform(
-        mean=mean, components=components, k=int(k),
-        eigenvalues=eigvals[order].copy(),
-    )
-    return transform, centered @ components
+    return centered @ components
 
 
 def normalize_features(X, mode="zscore") -> np.ndarray:
@@ -336,7 +311,7 @@ def prepare_dataset(node_path, edge_path, pca_components=0,
                 f"pca_components={pca_components} exceeds the data's "
                 f"min(rows, columns)={min(X.shape)}"
             )
-        _, X = pca_fit_transform(X, pca_components)
+        X = pca_fit_transform(X, pca_components)
     X = normalize_features(X, normalization)
     domain = tuple(sorted(set(raw.labels)))
     if len(domain) < 2:

@@ -145,8 +145,8 @@ class LabelState:
 
     ``unknown_nodes`` is the graph's own read-only array, and
     ``set_predicted`` writes exactly those rows, so known labels cannot
-    change. One state belongs to one inference run; it is mutable and
-    must not be shared across runs.
+    change. A state is mutable, so a run that starts from a shared state
+    (as every ``ica`` pass of one ``ssl_learn`` call does) copies it first.
     """
 
     labels: np.ndarray

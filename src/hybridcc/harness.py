@@ -30,7 +30,7 @@ import numpy as np
 from scipy import stats
 
 from .graph import DataGraph, LabelState, class_prior
-from .inference import ICAConfig, WvrnConfig, wvrn_rl
+from .inference import wvrn_rl
 from .classifiers import lr_predict_proba, lr_train
 from .data import prepare_dataset
 from .learning import (
@@ -111,6 +111,8 @@ class ExperimentConfig:
         for d in self.densities:
             if not 0.0 < d < 1.0:
                 raise ConfigError(f"density {d} outside (0, 1)")
+        if len(set(self.densities)) != len(self.densities):
+            raise ConfigError("densities contains duplicates")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.variants:
@@ -288,7 +290,7 @@ def _pick_best(grid, scores):
 
 def cross_validate_hyperparams(graph: DataGraph, spec: ClassifierSpec,
                                sigma_grid, alpha_grid, folds, seed,
-                               ica_config: ICAConfig | None = None):
+                               ica_iterations: int = 10):
     """Pick (sigma_sq, nb_alpha) by stratified CV over the known nodes.
 
     Search is sequential. The prior variance is scored first with an
@@ -302,8 +304,6 @@ def cross_validate_hyperparams(graph: DataGraph, spec: ClassifierSpec,
     midpoint with a warning. Returns (sigma_sq, nb_alpha), the latter None
     for specs without NB.
     """
-    if ica_config is None:
-        ica_config = ICAConfig()
     known = graph.known_nodes
     if known.size == 0:
         raise ValueError("cross-validation requires known labels")
@@ -361,7 +361,7 @@ def cross_validate_hyperparams(graph: DataGraph, spec: ClassifierSpec,
             state = ssl_learn(
                 fold_graph, probe_variant,
                 probe_spec.with_hyperparams(nb_alpha=a),
-                ica_config=ica_config,
+                ica_iterations=ica_iterations,
             )
             hits[a] += int(np.sum(state.labels[held_out] == y_test))
     alpha = _pick_best(alpha_grid, {a: hits[a] / total for a in alpha_grid})
@@ -440,19 +440,18 @@ def _sanitize_note(text: str) -> str:
     return " ".join(str(text).split())
 
 
-def _run_cell(variant, spec, trial_graph, ica_config, em_iterations):
+def _run_cell(variant, spec, trial_graph, ica_iterations, em_iterations):
     if variant == "attr-only":
         return attr_only(trial_graph, spec)
     if variant == "no-ssl":
-        return no_ssl(trial_graph, spec, ica_config=ica_config)
+        return no_ssl(trial_graph, spec, ica_iterations=ica_iterations)
     return ssl_learn(
         trial_graph, variant_from_name(variant, em_iterations), spec,
-        ica_config=ica_config,
+        ica_iterations=ica_iterations,
     )
 
 
-def run_experiment(config: ExperimentConfig, progress=None,
-                   significance_test=None) -> list[TrialResult]:
+def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]:
     """Execute the full trial grid and write both CSV reports.
 
     Within each (density, trial) cell the known set is sampled once and
@@ -469,7 +468,6 @@ def run_experiment(config: ExperimentConfig, progress=None,
         normalization=config.normalization,
     )
     graph, truth = dataset.graph, dataset.truth
-    ica_config = ICAConfig(iterations=config.ica_iterations)
     combos = _combos(config)
 
     results: list[TrialResult] = []
@@ -495,7 +493,7 @@ def run_experiment(config: ExperimentConfig, progress=None,
                     # across both tuning problems (it is stateless).
                     cv_cache[key] = cross_validate_hyperparams(
                         trial_graph, base, config.sigma_grid, config.alpha_grid,
-                        config.cv_folds, cv_seed, ica_config=ica_config,
+                        config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
                     )
                 sigma, alpha = cv_cache[key]
                 return base.with_hyperparams(sigma_sq=sigma, nb_alpha=alpha), sigma, alpha
@@ -505,11 +503,11 @@ def run_experiment(config: ExperimentConfig, progress=None,
                 sigma = alpha = None
                 try:
                     if variant == "relat-only":
-                        state = wvrn_rl(trial_graph, config=WvrnConfig())
+                        state = wvrn_rl(trial_graph)
                     else:
                         spec, sigma, alpha = tuned(kind)
                         state = _run_cell(
-                            variant, spec, trial_graph, ica_config,
+                            variant, spec, trial_graph, config.ica_iterations,
                             config.em_iterations,
                         )
                     acc = accuracy(state, truth, unknown)
@@ -540,7 +538,7 @@ def run_experiment(config: ExperimentConfig, progress=None,
 
     os.makedirs(config.output_dir, exist_ok=True)
     write_trials_csv(results, os.path.join(config.output_dir, "trials.csv"))
-    rows = summarize(results, config, significance_test=significance_test)
+    rows = summarize(results, config)
     write_summary_csv(
         rows, config, os.path.join(config.output_dir, "summary.csv"),
     )

@@ -2,11 +2,11 @@
 
 Two procedures:
 
-* ``ica``: iterative classification. Unknown nodes are bootstrapped from
-  an attribute-only model, then up to a fixed number of synchronous rounds
-  recompute the relational feature kind the node model reads from the
-  current labeling and re-predict the unknown nodes with the full node
-  model. Known labels are never touched.
+* ``ica``: iterative classification. Starting from a given labeling of
+  the unknown nodes (the learner passes the attribute-only one), up to a
+  fixed number of synchronous rounds recompute the relational feature
+  kind the node model reads from the current labeling and re-predict the
+  unknown nodes with the full node model. Known labels are never touched.
 * ``wvrn_rl``: a no-learning baseline. Each node holds a class
   distribution; known nodes are clamped one-hot and every sweep replaces
   each unknown node's distribution with the mean of its neighbors'.
@@ -14,11 +14,9 @@ Two procedures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .classifiers import lr_predict_proba
+from .classifiers import lr_predict_proba  # noqa: F401 -- perfbench/tracing.py patches this name here
 from .graph import (
     DataGraph,
     LabelState,
@@ -27,39 +25,7 @@ from .graph import (
     compute_proportion_features,
 )
 
-__all__ = ["ICAConfig", "WvrnConfig", "ica", "iterate", "wvrn_rl"]
-
-
-@dataclass(frozen=True)
-class ICAConfig:
-    """Iteration budget for iterative classification.
-
-    ``iterations`` is an upper bound: the result is always the labeling
-    that exactly ``iterations`` rounds reach, but the loop stops as soon as
-    a labeling repeats (see ``iterate``).
-    """
-
-    iterations: int = 10
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-
-
-@dataclass(frozen=True)
-class WvrnConfig:
-    """Stopping rule for relational-only propagation (Macskassy & Provost
-    2007): sweeps run until the largest change falls below
-    ``convergence_tol`` or ``max_iterations`` sweeps have run."""
-
-    max_iterations: int = 100
-    convergence_tol: float = 1e-4
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be > 0")
+__all__ = ["ica", "iterate", "wvrn_rl"]
 
 
 def iterate(step, state, n: int):
@@ -83,38 +49,34 @@ def iterate(step, state, n: int):
     return state
 
 
-def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None = None) -> LabelState:
-    """Run iterative classification and return the final hard labeling.
+def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -> LabelState:
+    """Run iterative classification from ``start`` and return the final
+    hard labeling; ``start`` itself is left unchanged.
 
-    ``bootstrap_model`` is an ``LRModel`` over attribute rows alone.
+    ``start`` labels every node: the known ones as in ``graph`` and the
+    unknown ones by some first guess, normally ``learning.attr_only``'s.
     ``node_model`` must offer ``reads_counts`` (whether its relational
     input is neighbor-label counts or proportions) and
     ``given_attributes(attributes)``, its ``predict_proba`` as a function
     of the relational rows alone; ``ica`` calls it once, so a hybrid's
     attribute member is evaluated once per call, not once per round.
-    Every unknown node receives the argmax of its bootstrap distribution,
-    then each of the ``config.iterations`` rounds computes the feature kind
-    the node model reads from the complete current labeling and reassigns
-    every unknown node synchronously (all predictions use the round's
-    incoming labels). Ties in the per-node argmax go to the lowest class
-    index. A round is a deterministic function of its incoming labeling,
-    so the rounds stop at the first repeated labeling (a fixed point or a
-    cycle) and return the labeling the full budget would reach.
+    Each of the ``iterations`` rounds computes the feature kind the node
+    model reads from the complete current labeling and reassigns every
+    unknown node synchronously (all predictions use the round's incoming
+    labels). Ties in the per-node argmax go to the lowest class index. A
+    round is a deterministic function of its incoming labeling, so the
+    rounds stop at the first repeated labeling (a fixed point or a cycle)
+    and return the labeling the full budget would reach.
     """
-    if config is None:
-        config = ICAConfig()
-    state = LabelState.from_graph(graph)
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     unknown = graph.unknown_nodes
     if unknown.size == 0:
-        return state
-
-    attrs = graph.attributes[unknown]
-    p0 = lr_predict_proba(bootstrap_model, attrs)
-    state.set_predicted(np.argmax(p0, axis=1))
+        return start
     compute_features = (
         compute_multiset_features if node_model.reads_counts else compute_proportion_features
     )
-    predict = node_model.given_attributes(attrs)
+    predict = node_model.given_attributes(graph.attributes[unknown])
 
     def round_(state):
         state = state.copy()
@@ -122,12 +84,13 @@ def ica(graph: DataGraph, bootstrap_model, node_model, config: ICAConfig | None 
         state.set_predicted(np.argmax(proba, axis=1))
         return state
 
-    return iterate(round_, state, config.iterations)
+    return iterate(round_, start, iterations)
 
 
-def wvrn_rl(graph: DataGraph, config: WvrnConfig | None = None,
+def wvrn_rl(graph: DataGraph, max_iterations: int = 100, convergence_tol: float = 1e-4,
             return_distributions: bool = False):
-    """Relational-only inference by repeated neighbor averaging.
+    """Relational-only inference by repeated neighbor averaging (Macskassy
+    & Provost 2007).
 
     Known nodes hold fixed one-hot distributions. Unknown nodes start from
     the unsmoothed class distribution of the known labels and are updated
@@ -139,8 +102,10 @@ def wvrn_rl(graph: DataGraph, config: WvrnConfig | None = None,
     With ``return_distributions`` the result is ``(state, dist)`` where
     ``dist`` is the final (nodes x classes) matrix, known rows one-hot.
     """
-    if config is None:
-        config = WvrnConfig()
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if convergence_tol <= 0:
+        raise ValueError("convergence_tol must be > 0")
     if not graph.known_labels:
         raise ValueError("relational-only inference needs at least one known label")
 
@@ -155,11 +120,11 @@ def wvrn_rl(graph: DataGraph, config: WvrnConfig | None = None,
 
     inv_degree = 1.0 / graph.degrees.astype(float)
 
-    for _ in range(config.max_iterations):
+    for _ in range(max_iterations):
         updated = ((graph.adjacency @ dist) * inv_degree[:, None])[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))
         dist[unknown] = updated
-        if delta < config.convergence_tol:
+        if delta < convergence_tol:
             break
 
     state.set_predicted(np.argmax(dist[unknown], axis=1))

@@ -17,7 +17,9 @@ predicted labels still reach the classifier through its inputs.
 
 Two baselines bracket the recipe: ``no_ssl`` never lets unlabeled nodes
 into training (their links are excluded from the relational features), and
-``attr_only`` skips relational information entirely.
+``attr_only`` skips relational information entirely. ``attr_only`` is also
+the one place the attribute-only model is trained: its labeling is the
+start state that ``ssl_learn`` and ``no_ssl`` hand to every ICA pass.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ from .graph import (
     compute_multiset_features,
     compute_proportion_features,
 )
-from .inference import ICAConfig, ica, iterate
+from .inference import ica, iterate
 
 __all__ = [
     "SslVariant",
     "ClassifierSpec",
-    "LabelRegSettings",
     "SSL_VARIANT_NAMES",
     "CLASSIFIER_KINDS",
     "variant_from_name",
@@ -96,27 +97,6 @@ def variant_from_name(name: str, em_iterations: int = 10) -> SslVariant:
 
 
 @dataclass(frozen=True)
-class LabelRegSettings:
-    """How to build the label-regularization penalty inside the loop.
-
-    The penalty weight is ``lambda_scale`` times the number of supervised
-    nodes. ``beta_weighted_likelihood`` selects whether the supervised
-    likelihood term uses the same relational-evidence-weighted prediction
-    as the penalty (the default) or the plain softmax.
-    """
-
-    lambda_scale: float = 10.0
-    epsilon_floor: float = 1e-10
-    beta_weighted_likelihood: bool = True
-
-    def __post_init__(self):
-        if self.lambda_scale < 0:
-            raise ValueError("lambda_scale must be >= 0")
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be > 0")
-
-
-@dataclass(frozen=True)
 class ClassifierSpec:
     """Node-classifier configuration.
 
@@ -126,14 +106,11 @@ class ClassifierSpec:
     whose relational member is either a second logistic regression over
     proportions (``lr+lr``) or a Naive Bayes over counts (``lr+nb``), each
     optionally with label-regularized attribute training (``+reg``).
-    ``label_reg`` must be set exactly for the ``+reg`` kinds; it is filled
-    with defaults when omitted.
     """
 
     kind: str
     sigma_sq: float = 1.0
     nb_alpha: float = 1.0
-    label_reg: LabelRegSettings | None = None
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
@@ -142,10 +119,6 @@ class ClassifierSpec:
             raise ValueError("sigma_sq must be > 0")
         if self.nb_alpha <= 0:
             raise ValueError("nb_alpha must be > 0")
-        if self.regularized and self.label_reg is None:
-            object.__setattr__(self, "label_reg", LabelRegSettings())
-        if not self.regularized and self.label_reg is not None:
-            raise ValueError(f"label_reg settings are only valid for +reg kinds, not {self.kind!r}")
 
     @property
     def regularized(self) -> bool:
@@ -162,7 +135,7 @@ class ClassifierSpec:
     def without_label_reg(self) -> "ClassifierSpec":
         if not self.regularized:
             return self
-        return replace(self, kind=self.kind[: -len("+reg")], label_reg=None)
+        return replace(self, kind=self.kind[: -len("+reg")])
 
     def with_hyperparams(self, sigma_sq=None, nb_alpha=None) -> "ClassifierSpec":
         kwargs = {}
@@ -171,19 +144,6 @@ class ClassifierSpec:
         if nb_alpha is not None:
             kwargs["nb_alpha"] = float(nb_alpha)
         return replace(self, **kwargs) if kwargs else self
-
-
-def _require_known(graph: DataGraph):
-    if not graph.known_labels:
-        raise ValueError("learning requires at least one known label")
-
-
-def _train_attribute_model(graph: DataGraph, spec: ClassifierSpec):
-    known = graph.known_nodes
-    labels = np.array([graph.known_labels[int(i)] for i in known], dtype=np.int64)
-    return lr_train(
-        graph.attributes[known], labels, spec.sigma_sq, n_classes=graph.n_classes
-    )
 
 
 def _train_node_model(graph, state, spec, train_nodes, prior,
@@ -195,7 +155,8 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
     is computed (counts for Naive Bayes members, proportions otherwise).
     For hybrid specs the relational member is fitted first; ``+reg`` specs
     then freeze its predictions into the per-node multipliers for
-    label-regularized attribute training.
+    label-regularized attribute training, with penalty weight
+    ``10 * |known nodes|`` towards the class prior.
     """
     train_nodes = np.asarray(train_nodes, dtype=np.int64)
     labels = state.labels[train_nodes]
@@ -224,59 +185,44 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
             features[train_nodes], labels, spec.sigma_sq, n_classes=c
         )
 
-    if spec.label_reg is None:
+    if not spec.regularized:
         attr_model = lr_train(attrs[train_nodes], labels, spec.sigma_sq, n_classes=c)
     else:
-        settings = spec.label_reg
         unknown = graph.unknown_nodes
 
         def beta_for(rows):
             log_p_rel = relational_log_proba(rel_model, features[rows])
             return np.clip(np.exp(log_p_rel - np.log(prior)), BETA_FLOOR, None)
 
-        config = LabelRegConfig(
-            target_dist=prior,
-            lam=settings.lambda_scale * len(graph.known_labels),
-            epsilon_floor=settings.epsilon_floor,
-        )
+        config = LabelRegConfig(target_dist=prior, lam=10.0 * len(graph.known_labels))
         attr_model = lr_train_label_reg(
             attrs[train_nodes], labels, beta_for(train_nodes),
             attrs[unknown], beta_for(unknown),
             config, spec.sigma_sq, n_classes=c,
-            beta_weighted_likelihood=settings.beta_weighted_likelihood,
         )
     return HybridModel(attribute_model=attr_model, relational_model=rel_model, prior=prior)
 
 
 def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
-              ica_config: ICAConfig | None = None,
+              ica_iterations: int = 10,
               diagnostics: dict | None = None) -> LabelState:
     """Run the generic semi-supervised loop and return the final labeling.
 
-    The attribute-only model is trained once on the supervised nodes and
-    reused as the collective-inference bootstrap for every iteration. Each
-    iteration recomputes relational features from the current labeling,
-    trains the node classifier on all nodes or on the supervised nodes per
-    ``variant.learn_from_all``, and replaces the unknown labels with a
-    fresh collective-inference pass. Every iteration is a deterministic
-    function of the incoming labeling, so the loop stops at the first
-    repeated labeling and returns the one ``variant.n_iterations``
-    iterations reach (see ``iterate``). ``diagnostics["train_sizes"]``
-    gets one entry per fit actually run.
+    ``attr_only`` labels the unknown nodes once; that labeling is the first
+    iteration's input and the start of every iteration's collective
+    inference. Each iteration recomputes relational features from the
+    current labeling, trains the node classifier on all nodes or on the
+    supervised nodes per ``variant.learn_from_all``, and replaces the
+    unknown labels with a fresh ``ica`` pass of at most ``ica_iterations``
+    rounds. Every iteration is a deterministic function of the incoming
+    labeling, so the loop stops at the first repeated labeling and returns
+    the one ``variant.n_iterations`` iterations reach (see ``iterate``).
+    ``diagnostics["train_sizes"]`` gets one entry per fit actually run.
     """
-    _require_known(graph)
-    if ica_config is None:
-        ica_config = ICAConfig()
-    state = LabelState.from_graph(graph)
-    unknown = graph.unknown_nodes
-    m_a = _train_attribute_model(graph, spec)
-    if unknown.size == 0:
-        return state
+    start = attr_only(graph, spec)
+    if graph.unknown_nodes.size == 0:
+        return start
     prior = class_prior(graph)
-
-    p0 = lr_predict_proba(m_a, graph.attributes[unknown])
-    state.set_predicted(np.argmax(p0, axis=1))
-
     train_nodes = (
         np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
     )
@@ -285,13 +231,13 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
         node_model = _train_node_model(
             graph, state, spec, train_nodes, prior, diagnostics=diagnostics
         )
-        return ica(graph, m_a, node_model, ica_config)
+        return ica(graph, start, node_model, ica_iterations)
 
-    return iterate(em_step, state, variant.n_iterations)
+    return iterate(em_step, start, variant.n_iterations)
 
 
 def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
-           ica_config: ICAConfig | None = None,
+           ica_iterations: int = 10,
            diagnostics: dict | None = None) -> LabelState:
     """Train without unlabeled data, then run collective inference once.
 
@@ -300,30 +246,32 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
     all unlabeled contributes an all-zero proportion row and an empty count
     row). Label regularization is switched off here regardless of ``spec``
     because the penalty is defined over unlabeled nodes. Inference still
-    runs over the whole graph, so unlabeled nodes enter at prediction time
+    runs over the whole graph from the ``attr_only`` labeling, for at most
+    ``ica_iterations`` rounds, so unlabeled nodes enter at prediction time
     only.
     """
-    _require_known(graph)
-    if ica_config is None:
-        ica_config = ICAConfig()
     spec = spec.without_label_reg()
-    state = LabelState.from_graph(graph)
+    start = attr_only(graph, spec)
     if graph.unknown_nodes.size == 0:
-        return state
-    m_a = _train_attribute_model(graph, spec)
-    prior = class_prior(graph)
+        return start
     node_model = _train_node_model(
-        graph, state, spec, graph.known_nodes, prior,
+        graph, LabelState.from_graph(graph), spec, graph.known_nodes, class_prior(graph),
         neighbor_mask=graph.known_mask(), diagnostics=diagnostics,
     )
-    return ica(graph, m_a, node_model, ica_config)
+    return ica(graph, start, node_model, ica_iterations)
 
 
 def attr_only(graph: DataGraph, spec: ClassifierSpec) -> LabelState:
-    """One-shot attribute-only prediction; no relational features, no loop."""
-    _require_known(graph)
+    """Label every unknown node by the argmax of a logistic regression
+    trained on the supervised nodes' attributes alone (prior variance
+    ``spec.sigma_sq``); no relational features, no loop."""
+    if not graph.known_labels:
+        raise ValueError("learning requires at least one known label")
     state = LabelState.from_graph(graph)
-    m_a = _train_attribute_model(graph, spec)
-    proba = lr_predict_proba(m_a, graph.attributes[graph.unknown_nodes])
+    known = graph.known_nodes
+    model = lr_train(
+        graph.attributes[known], state.labels[known], spec.sigma_sq, n_classes=graph.n_classes
+    )
+    proba = lr_predict_proba(model, graph.attributes[graph.unknown_nodes])
     state.set_predicted(np.argmax(proba, axis=1))
     return state

@@ -1,18 +1,26 @@
 """Reference loops for the early-exit tests: EM and ICA with every
 iteration and every round run, however early the labeling repeats, and
 each ICA round computed the long way (both feature kinds, the attribute
-member re-evaluated)."""
+member re-evaluated), every ICA pass bootstrapped from its own
+attribute-only model."""
 
 import numpy as np
 
-from hybridcc.classifiers import lr_predict_proba
+from hybridcc.classifiers import lr_predict_proba, lr_train
 from hybridcc.graph import (
     LabelState,
     class_prior,
     compute_multiset_features,
     compute_proportion_features,
 )
-from hybridcc.learning import _train_attribute_model, _train_node_model
+from hybridcc.learning import _train_node_model
+
+
+def attribute_model(graph, spec):
+    """Logistic regression on the known nodes' attributes alone."""
+    known = graph.known_nodes
+    labels = [graph.known_labels[int(i)] for i in known]
+    return lr_train(graph.attributes[known], labels, spec.sigma_sq, n_classes=graph.n_classes)
 
 
 def full_budget_ica(graph, bootstrap_model, node_model, iterations):
@@ -38,10 +46,10 @@ def full_budget_ica(graph, bootstrap_model, node_model, iterations):
 def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
     """Reference EM loop that always runs every iteration, each with a
     full-budget ICA. Returns the labeling after the bootstrap and after each
-    iteration, plus every (bootstrap model, node model, ICA history)."""
+    iteration, plus every (node model, ICA history)."""
     state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
-    m_a = _train_attribute_model(graph, spec)
+    m_a = attribute_model(graph, spec)
     prior = class_prior(graph)
     state.set_predicted(np.argmax(lr_predict_proba(m_a, graph.attributes[unknown]), axis=1))
     train_nodes = np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
@@ -49,7 +57,7 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
     for _ in range(variant.n_iterations):
         node_model = _train_node_model(graph, state, spec, train_nodes, prior)
         state, ica_history = full_budget_ica(graph, m_a, node_model, ica_iterations)
-        ica_runs.append((m_a, node_model, ica_history))
+        ica_runs.append((node_model, ica_history))
         history.append(state.labels.copy())
     return history, ica_runs
 
@@ -57,16 +65,16 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
 def full_budget_no_ssl(graph, spec, ica_iterations):
     """Reference ``no_ssl``: a node model trained on the known nodes with
     only known neighbors counted, then one full-budget ICA. Returns the
-    final labeling as a one-entry history, plus the (bootstrap model, node
-    model, ICA history)."""
+    final labeling as a one-entry history, plus the (node model, ICA
+    history)."""
     spec = spec.without_label_reg()
-    m_a = _train_attribute_model(graph, spec)
+    m_a = attribute_model(graph, spec)
     node_model = _train_node_model(
         graph, LabelState.from_graph(graph), spec, graph.known_nodes, class_prior(graph),
         neighbor_mask=graph.known_mask(),
     )
     state, ica_history = full_budget_ica(graph, m_a, node_model, ica_iterations)
-    return [state.labels.copy()], [(m_a, node_model, ica_history)]
+    return [state.labels.copy()], [(node_model, ica_history)]
 
 
 def first_repeat_period(history):

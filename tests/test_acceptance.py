@@ -23,7 +23,7 @@ from hybridcc.classifiers import (
 )
 from hybridcc.graph import DataGraph, LabelState, class_prior
 from hybridcc.harness import ExperimentConfig, run_experiment, sample_known
-from hybridcc.inference import WvrnConfig, wvrn_rl
+from hybridcc.inference import wvrn_rl
 from hybridcc.learning import CLASSIFIER_KINDS, ClassifierSpec, ssl_learn, variant_from_name
 from hybridcc.synthetic import generate_dataset, synthetic_graph, write_dataset
 
@@ -135,8 +135,7 @@ def test_acceptance_3_neighbor_averaging_reaches_solved_fixed_point():
         P[np.ix_(unknown, known)] @ clamp[known],
     )
 
-    cfg = WvrnConfig(max_iterations=20000, convergence_tol=1e-13)
-    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    _, dist = wvrn_rl(g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True)
     gap = float(np.max(np.abs(dist - solved)))
     elapsed = time.perf_counter() - start
     report("3 averaging fixed point", gap < 1e-6, f"max gap {gap:.2e} < 1e-6")

@@ -114,7 +114,7 @@ def test_run_all_failed_trials_exit_3(tmp_path, small_dataset, monkeypatch, caps
     nodes, edges = small_dataset
     cfg = write_config(tmp_path, nodes, edges)
 
-    def all_broken(config, progress=None, significance_test=None):
+    def all_broken(config, progress=None):
         return [
             TrialResult(
                 density=0.1, trial=t, variant="known-onepass", classifier="lr",

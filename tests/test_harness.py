@@ -56,6 +56,8 @@ def test_config_validation_messages():
     base = dict(nodes_path="n", edges_path="e")
     with pytest.raises(ConfigError, match="density"):
         ExperimentConfig(densities=(1.5,), **base)
+    with pytest.raises(ConfigError, match="duplicates"):
+        ExperimentConfig(densities=(0.1, 0.1), **base)
     with pytest.raises(ConfigError, match="unknown variant"):
         ExperimentConfig(variants=("em",), **base)
     with pytest.raises(ConfigError, match="duplicates"):
@@ -339,10 +341,10 @@ def test_run_experiment_records_tuned_hyperparams(small_dataset, tmp_path):
 def test_run_experiment_isolates_cell_failures(small_dataset, tmp_path, monkeypatch):
     real = harness._run_cell
 
-    def flaky(variant, spec, trial_graph, ica_config, em_iterations):
+    def flaky(variant, spec, trial_graph, ica_iterations, em_iterations):
         if variant == "known-onepass":
             raise RuntimeError("injected\nfailure")
-        return real(variant, spec, trial_graph, ica_config, em_iterations)
+        return real(variant, spec, trial_graph, ica_iterations, em_iterations)
 
     monkeypatch.setattr(harness, "_run_cell", flaky)
     cfg = tiny_config(small_dataset, tmp_path)

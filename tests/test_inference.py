@@ -8,24 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcc.classifiers import lr_train
 from hybridcc.graph import DataGraph, LabelState, compute_proportion_features
-from hybridcc.inference import ICAConfig, WvrnConfig, ica, iterate, wvrn_rl
-from hybridcc.learning import ClassifierSpec, ssl_learn, variant_from_name
+from hybridcc.inference import ica, iterate, wvrn_rl
+from hybridcc.learning import ClassifierSpec, attr_only, ssl_learn, variant_from_name
 from hybridcc.synthetic import synthetic_graph
 from reference_loops import first_repeat_period
-
-
-def test_ica_config_validation():
-    with pytest.raises(ValueError):
-        ICAConfig(iterations=0)
-
-
-def test_wvrn_config_validation():
-    with pytest.raises(ValueError):
-        WvrnConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        WvrnConfig(convergence_tol=0.0)
 
 
 def homophilous_graph(seed=0):
@@ -39,7 +26,7 @@ def sparsely_label(graph, truth, k=6, seed=1):
 
 
 class UniformNodeModel:
-    """Ignores all features; used to pin down bootstrap behavior."""
+    """Ignores all features; used to pin down tie-breaking."""
 
     reads_counts = False
 
@@ -53,14 +40,41 @@ class UniformNodeModel:
         return np.full((attributes.shape[0], self.n_classes), 1.0 / self.n_classes)
 
 
+def test_ica_config_validation():
+    graph, truth = homophilous_graph()
+    tg = sparsely_label(graph, truth)
+    with pytest.raises(ValueError, match="iterations"):
+        ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2), iterations=0)
+
+
+def test_wvrn_config_validation():
+    graph, truth = homophilous_graph()
+    tg = sparsely_label(graph, truth)
+    with pytest.raises(ValueError, match="max_iterations"):
+        wvrn_rl(tg, max_iterations=0)
+    with pytest.raises(ValueError, match="convergence_tol"):
+        wvrn_rl(tg, convergence_tol=0.0)
+
+
 def test_ica_keeps_known_labels_fixed():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
-    m_a = lr_train(tg.attributes[tg.known_nodes], [tg.known_labels[i] for i in tg.known_nodes], 1.0, n_classes=2)
-    state = ica(tg, m_a, UniformNodeModel(2))
+    state = ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2))
     for node, cls_idx in tg.known_labels.items():
         assert state.labels[node] == cls_idx
     assert np.all(state.labels >= 0)
+
+
+def test_ica_leaves_its_start_state_unchanged():
+    """Every EM iteration of ssl_learn starts its ICA pass from the same
+    attribute-only state, so ica must not write into it."""
+    graph, truth = homophilous_graph()
+    tg = sparsely_label(graph, truth)
+    start = attr_only(tg, ClassifierSpec("lr"))
+    before = start.labels.copy()
+    state = ica(tg, start, UniformNodeModel(2), iterations=3)
+    assert not np.array_equal(state.labels, before)  # the rounds did relabel
+    assert np.array_equal(start.labels, before)
 
 
 def test_ica_is_deterministic():
@@ -76,9 +90,8 @@ def test_ica_is_deterministic():
 def test_ica_ties_break_to_lowest_index():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
-    m_a = lr_train(tg.attributes[tg.known_nodes], [tg.known_labels[i] for i in tg.known_nodes], 1.0, n_classes=2)
     # a constant node model produces exact ties everywhere: all class 0
-    state = ica(tg, m_a, UniformNodeModel(2))
+    state = ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2))
     assert np.all(state.labels[tg.unknown_nodes] == 0)
 
 
@@ -121,7 +134,8 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
     """Early exit with one feature kind per round and the attribute member
     evaluated once equals the full round budget computed the long way, on
     runs that reach fixed points and 2-cycles, for every node model kind,
-    including no_ssl models trained on all-zero proportion rows."""
+    including no_ssl models trained on all-zero proportion rows. The
+    ``attr_only`` start state equals the reference's own bootstrap."""
     periods = Counter()
     zero_rows = 0
     for graph, variant, spec, _, ica_runs in full_budget_runs:
@@ -130,8 +144,10 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
                 graph, LabelState.from_graph(graph), within=graph.known_mask()
             )
             zero_rows += int(np.sum(~masked.any(axis=1)))
-        for m_a, node_model, history in ica_runs:
-            state = ica(graph, m_a, node_model, ICAConfig(iterations=len(history) - 1))
+        start = attr_only(graph, spec)
+        for node_model, history in ica_runs:
+            assert np.array_equal(start.labels, history[0])
+            state = ica(graph, start, node_model, iterations=len(history) - 1)
             assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
             periods[first_repeat_period(history)] += 1
     assert periods[1] > 0 and periods[2] > 0, periods
@@ -164,8 +180,9 @@ def six_node_two_seed_graph():
 def test_wvrn_reaches_the_averaging_fixed_point():
     g = six_node_two_seed_graph()
     want = solve_clamped_average(g)
-    cfg = WvrnConfig(max_iterations=20000, convergence_tol=1e-13)
-    state, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    state, dist = wvrn_rl(
+        g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True
+    )
     assert np.max(np.abs(dist - want)) < 1e-6
     assert np.array_equal(state.labels, np.argmax(want, axis=1))
 
@@ -174,8 +191,9 @@ def test_wvrn_path_graph_interpolates_linearly():
     # 0(a) - 1 - 2 - 3 - 4 - 5(b): class-a mass decreases by 1/5 per hop
     edges = [(i, i + 1) for i in range(5)]
     g = DataGraph.build(edges, np.zeros((6, 1)), ("a", "b"), known_labels={0: 0, 5: 1})
-    cfg = WvrnConfig(max_iterations=20000, convergence_tol=1e-13)
-    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    _, dist = wvrn_rl(
+        g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True
+    )
     assert np.allclose(dist[:, 0], [1.0, 0.8, 0.6, 0.4, 0.2, 0.0], atol=1e-6)
 
 
@@ -198,8 +216,9 @@ def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
             sums = np.bincount(src, weights=want[g.neighbor_ids, k], minlength=n)
             mean[:, k] = sums * inv_degree
         want[unknown] = mean[unknown]
-    cfg = WvrnConfig(max_iterations=7, convergence_tol=1e-300)
-    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    _, dist = wvrn_rl(
+        g, max_iterations=7, convergence_tol=1e-300, return_distributions=True
+    )
     assert np.array_equal(dist, want)
 
 
@@ -213,7 +232,7 @@ def test_wvrn_requires_knowns():
 def test_wvrn_prior_init_matches_known_label_frequencies():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
     g = DataGraph.build(edges, np.zeros((4, 1)), ("a", "b"), known_labels={0: 0, 1: 0, 2: 1})
-    cfg = WvrnConfig(max_iterations=0 + 1, convergence_tol=1e30)  # stop after one sweep
-    _, dist = wvrn_rl(g, config=cfg, return_distributions=True)
+    # the huge tolerance stops it after one sweep
+    _, dist = wvrn_rl(g, max_iterations=1, convergence_tol=1e30, return_distributions=True)
     # node 3 neighbors 0 (known a) and 2 (known b): mean is (0.5, 0.5)
     assert np.allclose(dist[3], [0.5, 0.5])

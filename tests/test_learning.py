@@ -5,13 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hybridcc import inference, learning
 from hybridcc.graph import DataGraph, class_prior
-from hybridcc.inference import ICAConfig
 from hybridcc.learning import (
     CLASSIFIER_KINDS,
     SSL_VARIANT_NAMES,
     ClassifierSpec,
-    LabelRegSettings,
     SslVariant,
     attr_only,
     no_ssl,
@@ -43,13 +42,28 @@ def test_variant_names_cover_both_axes():
         variant_from_name("self-training")
 
 
-def test_spec_autofills_reg_settings_only_for_reg_kinds():
-    assert ClassifierSpec("lr+nb+reg").label_reg == LabelRegSettings()
-    assert ClassifierSpec("lr+lr").label_reg is None
-    with pytest.raises(ValueError):
-        ClassifierSpec("lr+lr", label_reg=LabelRegSettings())
-    with pytest.raises(ValueError):
-        ClassifierSpec("gbm")
+def test_spec_autofills_reg_settings_only_for_reg_kinds(monkeypatch):
+    # the settings are no longer a spec field: they follow from the graph
+    with pytest.raises(TypeError):
+        ClassifierSpec("lr+nb+reg", label_reg=None)
+    tg, _ = labeled_graph(n=60, k=6, seed=4)
+    configs = []
+    real = learning.lr_train_label_reg
+
+    def spy(*args, **kwargs):
+        configs.append(args[5])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(learning, "lr_train_label_reg", spy)
+    for kind in CLASSIFIER_KINDS:
+        configs.clear()
+        ssl_learn(tg, variant_from_name("known-onepass"), ClassifierSpec(kind))
+        if not ClassifierSpec(kind).regularized:
+            assert configs == [], kind
+            continue
+        (config,) = configs
+        assert config.lam == 10.0 * len(tg.known_labels)
+        assert np.array_equal(config.target_dist, class_prior(tg))
 
 
 def test_spec_predicates_and_stripping():
@@ -61,6 +75,8 @@ def test_spec_predicates_and_stripping():
     tuned = spec.with_hyperparams(sigma_sq=9.0)
     assert tuned.sigma_sq == 9.0 and tuned.nb_alpha == 0.5 and tuned.regularized
     assert not ClassifierSpec("lr").hybrid
+    with pytest.raises(ValueError):
+        ClassifierSpec("gbm")
 
 
 # -------------------------------------------------------------- ssl_learn
@@ -107,9 +123,9 @@ def test_em_stops_early_with_the_full_budget_labeling(full_budget_runs):
     periods = Counter()
     for graph, variant, spec, history, _ in full_budget_runs:
         if variant is None:
-            state = no_ssl(graph, spec, ica_config=ICAConfig(iterations=10))
+            state = no_ssl(graph, spec, ica_iterations=10)
         else:
-            state = ssl_learn(graph, variant, spec, ica_config=ICAConfig(iterations=10))
+            state = ssl_learn(graph, variant, spec, ica_iterations=10)
         assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
         periods[first_repeat_period(history)] += 1
     assert periods[1] > 0 and periods[2] > 0, periods
@@ -145,10 +161,42 @@ def test_ica_iteration_count_is_configurable():
     tg, _ = labeled_graph(n=60, k=6, seed=8, noise=1.2)
     spec = ClassifierSpec("lr+nb")
     variant = variant_from_name("known-onepass")
-    a = ssl_learn(tg, variant, spec, ica_config=ICAConfig(iterations=1))
-    b = ssl_learn(tg, variant, spec, ica_config=ICAConfig(iterations=10))
+    a = ssl_learn(tg, variant, spec, ica_iterations=1)
+    b = ssl_learn(tg, variant, spec, ica_iterations=10)
     # fixed instance chosen so the extra inference rounds matter
     assert not np.array_equal(a.labels, b.labels)
+
+
+def count_attribute_only_predictions(monkeypatch):
+    """Count the learner's attribute-only predictions; any prediction made
+    through ``inference``'s name for ``lr_predict_proba`` fails the test."""
+    calls = []
+    real = learning.lr_predict_proba
+
+    def counted(model, features):
+        calls.append(features.shape)
+        return real(model, features)
+
+    def forbidden(model, features):
+        raise AssertionError("ica evaluated an attribute-only model")
+
+    monkeypatch.setattr(learning, "lr_predict_proba", counted)
+    monkeypatch.setattr(inference, "lr_predict_proba", forbidden)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["lr+nb+reg", "lr+lr"])
+def test_one_attribute_only_prediction_per_learner_call(monkeypatch, kind):
+    tg, _ = labeled_graph(n=60, k=6, seed=2)
+    calls = count_attribute_only_predictions(monkeypatch)
+    diag = {}
+    ssl_learn(tg, variant_from_name("all-em", em_iterations=5), ClassifierSpec(kind),
+              diagnostics=diag)
+    assert len(diag["train_sizes"]) >= 2  # several EM iterations, each with an ICA pass
+    assert len(calls) == 1
+    calls.clear()
+    no_ssl(tg, ClassifierSpec(kind))
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- baselines
