@@ -158,7 +158,9 @@ def load_dataset(node_path, edge_path) -> RawDataset:
         raise DataError(f"{node_path}: no node rows found")
 
     # One int64 key min*n + max per edge: sorting the keys sorts the
-    # (min, max) pairs, so one np.unique deduplicates and orders them.
+    # (min, max) pairs, and dropping each key equal to its predecessor
+    # deduplicates them (np.unique would take a much slower hash path).
+    # Keys are >= 0, so the -1 prepended keeps the first one.
     n = len(ids)
     keys = array.array("q")
     for lineno, line in _data_rows(edge_path):
@@ -172,7 +174,8 @@ def load_dataset(node_path, edge_path) -> RawDataset:
         if a == b:
             continue
         keys.append(a * n + b if a < b else b * n + a)
-    keys = np.unique(np.frombuffer(keys, dtype=np.int64))
+    keys = np.sort(np.frombuffer(keys, dtype=np.int64))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
     edges = np.stack([keys // n, keys % n], axis=1)
 
     columns = tuple(

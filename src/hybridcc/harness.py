@@ -27,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .graph import DataGraph, LabelState, class_prior
 from .inference import wvrn_rl
@@ -383,10 +383,13 @@ def accuracy(state: LabelState, truth, test_nodes) -> float:
 def paired_t_test(a, b, level=0.05):
     """Two-sided paired t-test; returns (t, p, significant).
 
-    Edge rules for zero-variance differences: all-zero differences give
-    (0.0, 1.0, False); constant nonzero differences are reported
-    significant by construction as (signed inf, 0.0, True), since every
-    pair moved the same direction by the same amount.
+    ``p`` is ``2 * scipy.stats.t.sf(|t|, n - 1)`` bit for bit, computed
+    through ``scipy.special`` (see ``_two_sided_p``) so that importing this
+    module does not load ``scipy.stats``. Edge rules for zero-variance
+    differences: all-zero differences give (0.0, 1.0, False); constant
+    nonzero differences are reported significant by construction as
+    (signed inf, 0.0, True), since every pair moved the same direction by
+    the same amount.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -403,8 +406,18 @@ def paired_t_test(a, b, level=0.05):
             return 0.0, 1.0, False
         return math.copysign(math.inf, mean), 0.0, True
     t = mean / (sd / math.sqrt(n))
-    p = float(2.0 * stats.t.sf(abs(t), n - 1))
+    p = _two_sided_p(t, n - 1)
     return t, p, p < level
+
+
+def _two_sided_p(t, df) -> float:
+    """``2 * P(T > |t|)`` for Student's t with ``df`` degrees of freedom.
+
+    This is the expression ``scipy.stats.t.sf`` evaluates, taken from
+    ``scipy.special``, which ``scipy.optimize`` already loads: importing
+    ``scipy.stats`` would add about 0.5 s to every process's start-up.
+    """
+    return float(2.0 * special.stdtr(df, -abs(t)))
 
 
 def degenerate_flag(state: LabelState, test_nodes, target,
@@ -455,9 +468,10 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     """Execute the full trial grid and write both CSV reports.
 
     Within each (density, trial) cell the known set is sampled once and
-    shared by every (variant, classifier) pair, and cross-validation runs
-    once per distinct tuning problem (one attribute-only pass for the
-    prior variance, one extra pass when any classifier has an NB member).
+    shared by every (variant, classifier) pair. Tuning runs one
+    attribute-only search for the prior variance per trial, shared by every
+    classifier, plus one smoothing search with that variance fixed when any
+    classifier has an NB member.
     A failing cell records an error row; the run continues. Returns the
     results in report order after writing ``trials.csv`` and
     ``summary.csv`` under ``config.output_dir``.
@@ -489,10 +503,14 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                 base = ClassifierSpec(kind)
                 key = base.uses_nb
                 if key not in cv_cache:
+                    # The sigma^2 search is the same for every kind, so the
+                    # second tuning problem is handed the sigma^2 the first
+                    # picked as a one-value grid, which skips the search.
                     # Reusing the one SeedSequence keeps the folds identical
-                    # across both tuning problems (it is stateless).
+                    # across both problems (it is stateless).
+                    sigma_grid = (cv_cache[not key][0],) if cv_cache else config.sigma_grid
                     cv_cache[key] = cross_validate_hyperparams(
-                        trial_graph, base, config.sigma_grid, config.alpha_grid,
+                        trial_graph, base, sigma_grid, config.alpha_grid,
                         config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
                     )
                 sigma, alpha = cv_cache[key]

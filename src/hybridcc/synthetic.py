@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,7 +57,12 @@ def _pick_partner(rng, u, y, by_class, same):
 
 def generate_dataset(n_nodes, n_classes, homophily, attr_noise, seed,
                      avg_degree=4.0, attr_dim=None) -> SyntheticDataset:
-    """Sample one graph; deterministic given the full argument tuple."""
+    """Sample one graph; deterministic given the full argument tuple.
+
+    Every random draw, and the order of the draws, fixes the output: the
+    benchmark's inputs and the tests' golden file digests depend on it.
+    ``edges`` holds each (min, max) pair once, sorted.
+    """
     if n_nodes < 2 or n_classes < 2:
         raise ValueError("need at least 2 nodes and 2 classes")
     if n_classes > n_nodes:
@@ -83,11 +89,8 @@ def generate_dataset(n_nodes, n_classes, homophily, attr_noise, seed,
             chosen.add((min(u, v), max(u, v)))
 
     # Wire up any node the sampler left isolated so the graph is usable.
-    degree = np.zeros(n_nodes, dtype=np.int64)
-    for a, b in chosen:
-        degree[a] += 1
-        degree[b] += 1
-    for u in np.flatnonzero(degree == 0):
+    ends = np.fromiter(chain.from_iterable(chosen), dtype=np.int64, count=2 * len(chosen))
+    for u in np.flatnonzero(np.bincount(ends, minlength=n_nodes) == 0):
         u = int(u)
         v = _pick_partner(rng, u, labels, by_class, rng.random() < homophily)
         if v < 0:
@@ -95,10 +98,12 @@ def generate_dataset(n_nodes, n_classes, homophily, attr_noise, seed,
         if v < 0:
             v = (u + 1) % n_nodes
         chosen.add((min(u, v), max(u, v)))
-        degree[u] += 1
-        degree[v] += 1
 
-    edges = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2)
+    # Sorting the int64 keys min*n + max sorts the (min, max) pairs.
+    keys = np.sort(np.fromiter(
+        (a * n_nodes + b for a, b in chosen), dtype=np.int64, count=len(chosen)
+    ))
+    edges = np.stack([keys // n_nodes, keys % n_nodes], axis=1)
 
     if attr_dim is None:
         attr_dim = n_classes
@@ -130,18 +135,21 @@ def synthetic_graph(n_nodes, n_classes, homophily, attr_noise, seed,
 
 
 def write_dataset(out_dir, data: SyntheticDataset) -> tuple[str, str]:
-    """Write nodes.tsv and edges.tsv in the loader's file format."""
+    """Write nodes.tsv and edges.tsv in the loader's file format.
+
+    Attribute values are written with ``repr``, which round-trips every
+    float exactly. Each file is built in memory and written in one call.
+    """
     os.makedirs(out_dir, exist_ok=True)
     node_path = os.path.join(out_dir, "nodes.tsv")
     edge_path = os.path.join(out_dir, "edges.tsv")
-    n, d = data.attributes.shape
+    lines = ["id\tlabel" + "\treal" * data.attributes.shape[1]]
+    lines += [
+        "\t".join([f"n{i}", data.label_domain[y], *map(repr, values)])
+        for i, (y, values) in enumerate(zip(data.labels.tolist(), data.attributes.tolist()))
+    ]
     with open(node_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("id\tlabel" + "\treal" * d + "\n")
-        for i in range(n):
-            values = "\t".join(repr(float(v)) for v in data.attributes[i])
-            row = f"n{i}\t{data.label_domain[data.labels[i]]}"
-            handle.write(row + ("\t" + values if d else "") + "\n")
+        handle.write("\n".join(lines) + "\n")
     with open(edge_path, "w", encoding="utf-8", newline="\n") as handle:
-        for a, b in data.edges:
-            handle.write(f"n{a}\tn{b}\n")
+        handle.write("".join(f"n{a}\tn{b}\n" for a, b in data.edges.tolist()))
     return node_path, edge_path

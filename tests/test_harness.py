@@ -225,6 +225,31 @@ def test_cv_degenerate_folds_fall_back_to_midpoints():
     assert alpha == 1.0
 
 
+@pytest.mark.parametrize("kinds", [("lr", "lr+nb"), ("lr+nb", "lr")], ids=["lr-first", "nb-first"])
+def test_sigma_search_runs_once_per_trial(small_dataset, tmp_path, monkeypatch, kinds):
+    """A grid that mixes NB and non-NB kinds shares one sigma^2 search per
+    trial: one attribute-only fit per fold and grid value."""
+    fits = []
+    real = harness.lr_train
+
+    def spy(features, labels, sigma_sq, **kwargs):
+        fits.append(sigma_sq)
+        return real(features, labels, sigma_sq, **kwargs)
+
+    monkeypatch.setattr(harness, "lr_train", spy)
+    config = tiny_config(
+        small_dataset, tmp_path, trials=2, classifiers=kinds,
+        sigma_grid=(0.1, 1.0), alpha_grid=(0.5, 2.0),
+    )
+    results = run_experiment(config)
+    per_value = config.trials * config.cv_folds
+    assert sorted(fits) == sorted(config.sigma_grid * per_value)
+    for trial in range(config.trials):
+        picked = {r.classifier: r for r in results if r.trial == trial}
+        assert picked["lr"].sigma_sq == picked["lr+nb"].sigma_sq
+        assert picked["lr"].nb_alpha is None and picked["lr+nb"].nb_alpha in (0.5, 2.0)
+
+
 def test_pick_best_breaks_ties_toward_smaller_values():
     assert harness._pick_best((10.0, 0.1, 1.0), {0.1: 0.8, 1.0: 0.8, 10.0: 0.7}) == 0.1
     assert harness._grid_midpoint((10.0, 0.1, 1.0)) == 1.0
@@ -260,6 +285,24 @@ def test_paired_t_test_zero_variance_rules():
     assert t == math.inf and p == 0.0 and sig
     t, p, sig = paired_t_test(same - 0.1, same)
     assert t == -math.inf and sig
+
+
+def test_t_test_p_value_is_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    ts = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 1.96, 2.5, 10.0, 1e3, 1e15, 1e300, math.inf]
+    ts += np.random.default_rng(0).standard_normal(50).tolist()
+    for t in ts:
+        for df in range(1, 60):
+            want = float(2.0 * stats.t.sf(abs(t), df))
+            assert harness._two_sided_p(t, df) == want, (t, df)
+            assert harness._two_sided_p(-t, df) == want, (-t, df)
+
+    rng = np.random.default_rng(1)
+    for n in (2, 3, 5, 15, 40):
+        a, b = rng.random(n), rng.random(n)
+        t, p, _ = paired_t_test(a, b)
+        assert p == float(2.0 * stats.t.sf(abs(t), n - 1))
 
 
 def test_paired_t_test_input_validation():

@@ -1,5 +1,7 @@
 """Synthetic dataset generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,29 @@ def test_synthetic_graph_matches_generate_dataset():
     assert np.array_equal(truth, data.labels)
     assert np.allclose(graph.attributes, data.attributes)
     assert graph.node_count == 50
+
+
+# sha256 of nodes.tsv followed by edges.tsv, captured before the edge
+# bookkeeping and the file writing were vectorized. Benchmark inputs are
+# these files, so any change to their bytes must be deliberate.
+EM_REG_SHAPE = dict(n_nodes=300, n_classes=3, homophily=0.8, attr_noise=1.0,
+                    attr_dim=20, avg_degree=4.0)
+ICA_SHAPE = dict(n_nodes=2000, n_classes=2, homophily=0.75, attr_noise=1.5,
+                 attr_dim=2, avg_degree=20.0)
+
+
+@pytest.mark.parametrize("shape, seed, digest", [
+    (EM_REG_SHAPE, 0, "f36f40e68f7b6d56d20ea687cdd9891a66419df2f80f32701c14e18c789629ce"),
+    (EM_REG_SHAPE, 1, "d34c7d2c535d848055f788c431f7c23e8bc7a44bfd6cbeae8a3c51c23c200a35"),
+    (EM_REG_SHAPE, 9002000000, "244bb30de7ea834a7b6c2f7188d6cfe21fe6515f84c59287e1dba47ba2559579"),
+    (ICA_SHAPE, 0, "7dfdd83f489402ebdd6a6b7d7f4bf2856defbb1da0c86ab30ac4f81eb073964d"),
+    (ICA_SHAPE, 1, "7a818a4fc5f492c395cc54886236df50907255039524c7f8a26ddbc17ed03851"),
+    (ICA_SHAPE, 9002000000, "be35e54923122526a435cf220b8fbe14f92bdc166d6b48395d5d31dcc255be53"),
+], ids=["em_reg-0", "em_reg-1", "em_reg-9002000000", "ica-0", "ica-1", "ica-9002000000"])
+def test_written_files_match_golden_digests(tmp_path, shape, seed, digest):
+    paths = write_dataset(str(tmp_path), generate_dataset(seed=seed, **shape))
+    h = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            h.update(handle.read())
+    assert h.hexdigest() == digest
