@@ -58,6 +58,7 @@ from .data import (
     DataError,
     PreparedDataset,
     RawDataset,
+    assemble_dataset,
     binarize_categorical,
     load_dataset,
     normalize_features,

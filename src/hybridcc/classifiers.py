@@ -244,8 +244,8 @@ def lr_train(features, labels, sigma_sq, n_classes=None,
     labels, n_classes = _resolve_n_classes(labels, n_classes)
     if X.shape[0] != labels.size:
         raise ValueError("features and labels disagree on the number of rows")
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be > 0")
+    if not 0 < sigma_sq < np.inf:
+        raise ValueError("sigma_sq must be positive and finite")
     return _fit(_with_bias(X), labels, n_classes, sigma_sq, max_iter, "logistic regression")
 
 
@@ -273,8 +273,8 @@ def nb_relational_train(counts, labels, alpha, n_classes=None) -> NBRelationalMo
     is reported in ``missing_classes``. The class prior is smoothed the same
     way from the training label counts.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     counts = np.asarray(counts, dtype=float)
     labels, n_classes = _resolve_n_classes(labels, n_classes)
     if counts.ndim != 2 or counts.shape[0] != labels.size:
@@ -506,8 +506,8 @@ def lr_train_label_reg(known_features, known_labels, known_beta,
     labels, n_classes = _resolve_n_classes(known_labels, n_classes)
     if Xk.shape[0] != labels.size:
         raise ValueError("features and labels disagree on the number of rows")
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be > 0")
+    if not 0 < sigma_sq < np.inf:
+        raise ValueError("sigma_sq must be positive and finite")
     if config.target_dist.size != n_classes:
         raise ValueError("target distribution size must match the class count")
 

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Three subcommands: ``run`` executes a configured experiment and writes the
-CSV reports, ``validate`` checks a dataset pair without running anything,
-and ``gen-synthetic`` writes a generated dataset in the loader's format.
+CSV reports, ``validate`` prepares a dataset pair as ``run`` does and
+reports its size without running anything, and ``gen-synthetic`` writes a
+generated dataset in the loader's format.
 
 Exit codes: 0 success, 1 bad configuration, 2 bad data, 3 every trial
 failed at runtime.
@@ -14,8 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .data import DataError, binarize_categorical, load_dataset, remove_isolated
-from .graph import DataGraph
+from .data import DataError, assemble_dataset, load_dataset
 from .harness import ConfigError, parse_config_file, run_experiment
 from .synthetic import generate_dataset, write_dataset
 
@@ -93,21 +93,14 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         raw = load_dataset(args.nodes, args.edges)
-        isolated = int((raw.degrees() == 0).sum())
-        kept = remove_isolated(raw)
-        encoded = binarize_categorical(kept)
-        attrs = encoded.attribute_matrix()
-        domain = sorted(set(kept.labels))
-        if len(domain) < 2:
-            raise DataError("dataset carries fewer than 2 distinct labels")
-        DataGraph.build(kept.edges, attrs, domain, known_labels={})
+        graph = assemble_dataset(raw).graph
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    print(f"nodes: {kept.node_count} ({isolated} isolated dropped)")
-    print(f"edges: {kept.edges.shape[0]}")
-    print(f"classes: {len(domain)}")
-    print(f"attributes: {attrs.shape[1]} after one-hot encoding")
+    print(f"nodes: {graph.node_count} ({raw.node_count - graph.node_count} isolated dropped)")
+    print(f"edges: {graph.adjacency.nnz // 2}")
+    print(f"classes: {graph.n_classes}")
+    print(f"attributes: {graph.attributes.shape[1]} after one-hot encoding")
     return EXIT_OK
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "pca_fit_transform",
     "normalize_features",
     "prepare_dataset",
+    "assemble_dataset",
 ]
 
 COLUMN_KINDS = ("real", "cat")
@@ -297,15 +298,22 @@ class PreparedDataset:
 
 def prepare_dataset(node_path, edge_path, pca_components=0,
                     normalization="zscore") -> PreparedDataset:
-    """Run the full pipeline from files to a ready graph.
+    """Run the full pipeline from files to a ready graph: ``load_dataset``
+    (the column schema comes from the node file's header), then
+    ``assemble_dataset``."""
+    return assemble_dataset(load_dataset(node_path, edge_path), pca_components, normalization)
 
-    The column schema comes from the node file's header (see
-    ``load_dataset``). ``pca_components = 0`` skips the projection. The
-    class domain is the sorted set of observed label strings; ``truth[i]``
-    is node i's index into it. The returned graph has an empty known-label
-    set; trials install their own sampled subsets.
+
+def assemble_dataset(raw: RawDataset, pca_components=0,
+                     normalization="zscore") -> PreparedDataset:
+    """Run the pipeline from parsed files to a ready graph.
+
+    ``pca_components = 0`` skips the projection. The class domain is the
+    sorted set of observed label strings; ``truth[i]`` is node i's index
+    into it. The returned graph has an empty known-label set; trials
+    install their own sampled subsets.
     """
-    raw = remove_isolated(load_dataset(node_path, edge_path))
+    raw = remove_isolated(raw)
     raw = binarize_categorical(raw)
     X = raw.attribute_matrix()
     if pca_components:

@@ -3,9 +3,10 @@
 One experiment fixes a dataset and a list of (variant, classifier) cells,
 then repeats per label density: each trial samples the known-node set once
 and reuses it for every cell, so per-trial accuracies are paired across
-cells and paired t-tests apply. Hyperparameters are chosen per trial by
-cross-validation over the known nodes only; held-out fold nodes join the
-unlabeled pool during tuning, never the training side.
+cells and paired t-tests apply. Hyperparameters are chosen once per trial
+by cross-validation over the known nodes only, and shared by every
+classifier kind; held-out fold nodes join the unlabeled pool during
+tuning, never the training side.
 
 Reports are two CSV files. ``trials.csv`` has one row per (density, trial,
 variant, classifier) with the measured accuracy and diagnostics.
@@ -24,7 +25,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -138,8 +139,8 @@ class ExperimentConfig:
         if self.cv_folds < 1:
             raise ConfigError("cv_folds must be >= 1")
         for name, grid in (("sigma_grid", self.sigma_grid), ("alpha_grid", self.alpha_grid)):
-            if not grid or any(g <= 0 for g in grid):
-                raise ConfigError(f"{name} must be non-empty with positive entries")
+            if not grid or not all(0 < g < math.inf for g in grid):
+                raise ConfigError(f"{name} must be non-empty with positive finite entries")
         if self.pca_components < 0:
             raise ConfigError("pca_components must be >= 0")
         if self.normalization not in ("zscore", "minmax", "none"):
@@ -150,22 +151,28 @@ class ExperimentConfig:
             raise ConfigError("significance_level must be in (0, 1)")
 
 
-_INT_KEYS = {"trials", "master_seed", "cv_folds", "pca_components",
-             "ica_iterations", "em_iterations"}
-_FLOAT_KEYS = {"significance_level"}
-_FLOAT_LIST_KEYS = {"densities", "sigma_grid", "alpha_grid"}
-_STR_LIST_KEYS = {"variants", "classifiers"}
+def _value_parser(f):
+    """How a config file value is read for field ``f``: as its default's
+    type, as a comma list of its element type when that is a tuple, and as a
+    string for the required paths, which have no default."""
+    if f.default is MISSING:
+        return str
+    if isinstance(f.default, tuple):
+        element = type(f.default[0])
+        return lambda raw: tuple(element(p.strip()) for p in raw.split(",") if p.strip())
+    return type(f.default)
 
 
 def parse_config_file(path) -> ExperimentConfig:
     """Read a ``key = value`` text file into an ExperimentConfig.
 
-    Keys are exactly the config field names. List values are
-    comma-separated. Blank lines and ``#`` comment lines are ignored.
+    Keys are exactly the config field names, and each value is parsed by
+    the type of its field's default (see ``_value_parser``). List values
+    are comma-separated. Blank lines and ``#`` comment lines are ignored.
     Unknown or repeated keys, unparsable values, and missing required paths
     raise ``ConfigError`` naming the line.
     """
-    known_fields = {f.name for f in fields(ExperimentConfig)}
+    parsers = {f.name: _value_parser(f) for f in fields(ExperimentConfig)}
     values = {}
     try:
         handle = open(path, encoding="utf-8")
@@ -180,21 +187,12 @@ def parse_config_file(path) -> ExperimentConfig:
                 raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in known_fields:
+            if key not in parsers:
                 raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}: line {lineno}: repeated config key {key!r}")
             try:
-                if key in _INT_KEYS:
-                    values[key] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(raw)
-                elif key in _FLOAT_LIST_KEYS:
-                    values[key] = tuple(float(p.strip()) for p in raw.split(",") if p.strip())
-                elif key in _STR_LIST_KEYS:
-                    values[key] = tuple(p.strip() for p in raw.split(",") if p.strip())
-                else:
-                    values[key] = raw
+                values[key] = parsers[key](raw)
             except ValueError:
                 raise ConfigError(
                     f"{path}: line {lineno}: cannot parse value for {key!r}: {raw!r}"
@@ -288,29 +286,29 @@ def _pick_best(grid, scores):
     return best_value
 
 
-def cross_validate_hyperparams(graph: DataGraph, spec: ClassifierSpec,
-                               sigma_grid, alpha_grid, folds, seed,
+def cross_validate_hyperparams(graph: DataGraph, sigma_grid, alpha_grid, folds, seed,
                                ica_iterations: int = 10):
-    """Pick (sigma_sq, nb_alpha) by stratified CV over the known nodes.
+    """Pick a trial's (sigma_sq, nb_alpha) by stratified CV over the known nodes.
 
-    Search is sequential. The prior variance is scored first with an
-    attribute-only model (relational features and smoothing play no part),
-    then, for specs with a Naive Bayes member, the smoothing is scored with
-    the chosen variance fixed, by running the known-trained one-pass loop
-    without label regularization on each fold and scoring the held-out
-    nodes. Held-out nodes are unlabeled during tuning, so tuning sees
-    exactly the information a trial would. Ties go to the smaller grid
-    value; if no fold is usable both answers fall back to the grid
-    midpoint with a warning. Returns (sigma_sq, nb_alpha), the latter None
-    for specs without NB.
+    A trial has one tuning problem whatever its classifier kinds. The prior
+    variance is scored first with an attribute-only model (relational
+    features and smoothing play no part), so every kind shares it. Then,
+    unless ``alpha_grid`` is None (no configured kind has a Naive Bayes
+    member), the smoothing is scored with that variance fixed, by running
+    ``lr+nb`` known-onepass on each fold and scoring the held-out nodes;
+    the probe has no label regularization, so ``lr+nb+reg`` shares the
+    answer too. Held-out nodes are unlabeled during tuning, so tuning sees
+    exactly the information a trial would. A one-value grid is returned
+    without a search. Ties go to the smaller grid value; if no fold is
+    usable both answers fall back to the grid midpoint with a warning.
+    Returns (sigma_sq, nb_alpha), the latter None when ``alpha_grid`` is.
     """
     known = graph.known_nodes
     if known.size == 0:
         raise ValueError("cross-validation requires known labels")
-    labels = np.array([graph.known_labels[int(i)] for i in known], dtype=np.int64)
+    labels = LabelState.from_graph(graph).labels
     rng = np.random.default_rng(seed)
-    fold_sets = _stratified_folds(known, labels, folds, rng)
-    label_of = dict(zip(known.tolist(), labels.tolist()))
+    fold_sets = _stratified_folds(known, labels[known], folds, rng)
 
     usable = []
     for held_out in fold_sets:
@@ -323,49 +321,36 @@ def cross_validate_hyperparams(graph: DataGraph, spec: ClassifierSpec,
             stacklevel=2,
         )
         sigma = _grid_midpoint(sigma_grid)
-        return sigma, (_grid_midpoint(alpha_grid) if spec.uses_nb else None)
+        return sigma, (None if alpha_grid is None else _grid_midpoint(alpha_grid))
 
     attrs = graph.attributes
-    c = graph.n_classes
     if len(set(sigma_grid)) == 1:
         sigma = sigma_grid[0]
     else:
-        hits = {s: 0 for s in sigma_grid}
-        total = 0
+        hits = dict.fromkeys(sigma_grid, 0)
         for train, held_out in usable:
-            y_train = np.array([label_of[int(i)] for i in train], dtype=np.int64)
-            y_test = np.array([label_of[int(i)] for i in held_out], dtype=np.int64)
-            total += held_out.size
             for s in sigma_grid:
-                model = lr_train(attrs[train], y_train, s, n_classes=c)
+                model = lr_train(attrs[train], labels[train], s, n_classes=graph.n_classes)
                 pred = np.argmax(lr_predict_proba(model, attrs[held_out]), axis=1)
-                hits[s] += int(np.sum(pred == y_test))
-        sigma = _pick_best(sigma_grid, {s: hits[s] / total for s in sigma_grid})
+                hits[s] += int(np.sum(pred == labels[held_out]))
+        sigma = _pick_best(sigma_grid, hits)
 
-    if not spec.uses_nb:
+    if alpha_grid is None:
         return sigma, None
     if len(set(alpha_grid)) == 1:
         return sigma, alpha_grid[0]
 
-    probe_spec = spec.without_label_reg().with_hyperparams(sigma_sq=sigma)
-    probe_variant = SslVariant(learn_from_all=False, n_iterations=1)
-    hits = {a: 0 for a in alpha_grid}
-    total = 0
+    probe = SslVariant(learn_from_all=False, n_iterations=1)
+    hits = dict.fromkeys(alpha_grid, 0)
     for train, held_out in usable:
-        fold_graph = graph.with_known_labels(
-            {int(i): label_of[int(i)] for i in train}
-        )
-        y_test = np.array([label_of[int(i)] for i in held_out], dtype=np.int64)
-        total += held_out.size
+        fold_graph = graph.with_known_labels(zip(train.tolist(), labels[train].tolist()))
         for a in alpha_grid:
             state = ssl_learn(
-                fold_graph, probe_variant,
-                probe_spec.with_hyperparams(nb_alpha=a),
+                fold_graph, probe, ClassifierSpec("lr+nb", sigma, a),
                 ica_iterations=ica_iterations,
             )
-            hits[a] += int(np.sum(state.labels[held_out] == y_test))
-    alpha = _pick_best(alpha_grid, {a: hits[a] / total for a in alpha_grid})
-    return sigma, alpha
+            hits[a] += int(np.sum(state.labels[held_out] == labels[held_out]))
+    return sigma, _pick_best(alpha_grid, hits)
 
 
 def accuracy(state: LabelState, truth, test_nodes) -> float:
@@ -468,11 +453,13 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     """Execute the full trial grid and write both CSV reports.
 
     Within each (density, trial) cell the known set is sampled once and
-    shared by every (variant, classifier) pair. Tuning runs one
-    attribute-only search for the prior variance per trial, shared by every
-    classifier, plus one smoothing search with that variance fixed when any
-    classifier has an NB member.
-    A failing cell records an error row; the run continues. Returns the
+    shared by every (variant, classifier) pair. Each trial is tuned once, by
+    one ``cross_validate_hyperparams`` call at its first classifier cell:
+    every kind gets the trial's prior variance, and kinds with an NB member
+    also get its smoothing, which is searched only when some configured kind
+    has one (the others report a blank ``nb_alpha``).
+    A failing cell records an error row; the run continues. A tuning error
+    therefore fails every classifier cell of its trial. Returns the
     results in report order after writing ``trials.csv`` and
     ``summary.csv`` under ``config.output_dir``.
     """
@@ -483,6 +470,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     )
     graph, truth = dataset.graph, dataset.truth
     combos = _combos(config)
+    nb_kinds = {kind for kind in config.classifiers if ClassifierSpec(kind).uses_nb}
 
     results: list[TrialResult] = []
     for d_idx, density in enumerate(config.densities):
@@ -497,25 +485,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
             target = class_prior(trial_graph)
 
             cv_seed = np.random.SeedSequence((config.master_seed, d_idx, trial, 1))
-            cv_cache: dict[bool, tuple] = {}
-
-            def tuned(kind):
-                base = ClassifierSpec(kind)
-                key = base.uses_nb
-                if key not in cv_cache:
-                    # The sigma^2 search is the same for every kind, so the
-                    # second tuning problem is handed the sigma^2 the first
-                    # picked as a one-value grid, which skips the search.
-                    # Reusing the one SeedSequence keeps the folds identical
-                    # across both problems (it is stateless).
-                    sigma_grid = (cv_cache[not key][0],) if cv_cache else config.sigma_grid
-                    cv_cache[key] = cross_validate_hyperparams(
-                        trial_graph, base, sigma_grid, config.alpha_grid,
-                        config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
-                    )
-                sigma, alpha = cv_cache[key]
-                return base.with_hyperparams(sigma_sq=sigma, nb_alpha=alpha), sigma, alpha
-
+            tuned = None
             for variant, kind in combos:
                 start = time.perf_counter()
                 sigma = alpha = None
@@ -523,7 +493,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                     if variant == "relat-only":
                         state = wvrn_rl(trial_graph)
                     else:
-                        spec, sigma, alpha = tuned(kind)
+                        if tuned is None:
+                            tuned = cross_validate_hyperparams(
+                                trial_graph, config.sigma_grid,
+                                config.alpha_grid if nb_kinds else None,
+                                config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
+                            )
+                        sigma, alpha = tuned
+                        if kind in nb_kinds:
+                            spec = ClassifierSpec(kind, sigma_sq=sigma, nb_alpha=alpha)
+                        else:
+                            spec, alpha = ClassifierSpec(kind, sigma_sq=sigma), None
                         state = _run_cell(
                             variant, spec, trial_graph, config.ica_iterations,
                             config.em_iterations,
@@ -563,8 +543,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     return results
 
 
-def summarize(results, config: ExperimentConfig,
-              significance_test=None) -> list[SummaryRow]:
+def summarize(results, config: ExperimentConfig) -> list[SummaryRow]:
     """Aggregate per-trial results into mean accuracy and marks per density.
 
     The first (variant, classifier) cell is the reference: every other
@@ -573,8 +552,6 @@ def summarize(results, config: ExperimentConfig,
     reference, ``*`` significantly worse; blank means no significant
     difference or no usable test (fewer than 2 common successful trials).
     """
-    if significance_test is None:
-        significance_test = paired_t_test
     combos = _combos(config)
     by_cell: dict[tuple, dict[int, float]] = {}
     for r in results:
@@ -601,9 +578,7 @@ def summarize(results, config: ExperimentConfig,
                 continue
             mine = np.array([cell[t] for t in common])
             theirs = np.array([ref_cell[t] for t in common])
-            _, _, significant = significance_test(
-                mine, theirs, config.significance_level
-            )
+            _, _, significant = paired_t_test(mine, theirs, config.significance_level)
             if not significant:
                 marks[density] = ""
             else:

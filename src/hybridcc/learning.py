@@ -115,10 +115,10 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.sigma_sq <= 0:
-            raise ValueError("sigma_sq must be > 0")
-        if self.nb_alpha <= 0:
-            raise ValueError("nb_alpha must be > 0")
+        if not 0 < self.sigma_sq < np.inf:
+            raise ValueError("sigma_sq must be positive and finite")
+        if not 0 < self.nb_alpha < np.inf:
+            raise ValueError("nb_alpha must be positive and finite")
 
     @property
     def regularized(self) -> bool:
@@ -136,14 +136,6 @@ class ClassifierSpec:
         if not self.regularized:
             return self
         return replace(self, kind=self.kind[: -len("+reg")])
-
-    def with_hyperparams(self, sigma_sq=None, nb_alpha=None) -> "ClassifierSpec":
-        kwargs = {}
-        if sigma_sq is not None:
-            kwargs["sigma_sq"] = float(sigma_sq)
-        if nb_alpha is not None:
-            kwargs["nb_alpha"] = float(nb_alpha)
-        return replace(self, **kwargs) if kwargs else self
 
 
 def _train_node_model(graph, state, spec, train_nodes, prior,

@@ -15,22 +15,22 @@ from hybridcc.cli import (
 from hybridcc.harness import TrialResult
 
 
-def write_config(tmp_path, nodes, edges, **extra):
-    lines = [
-        f"nodes_path = {nodes}",
-        f"edges_path = {edges}",
-        "densities = 0.1",
-        "trials = 2",
-        "variants = known-onepass, attr-only",
-        "classifiers = lr",
-        "sigma_grid = 1",
-        "alpha_grid = 1",
-        "ica_iterations = 2",
-        f"output_dir = {tmp_path / 'reports'}",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+def write_config(tmp_path, nodes, edges, **overrides):
+    settings = {
+        "nodes_path": nodes,
+        "edges_path": edges,
+        "densities": "0.1",
+        "trials": "2",
+        "variants": "known-onepass, attr-only",
+        "classifiers": "lr",
+        "sigma_grid": "1",
+        "alpha_grid": "1",
+        "ica_iterations": "2",
+        "output_dir": tmp_path / "reports",
+        **overrides,
+    }
     path = tmp_path / "exp.cfg"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
     return str(path)
 
 
@@ -99,6 +99,16 @@ def test_run_bad_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["sigma_grid", "alpha_grid"])
+def test_run_non_finite_grid_exits_1(tmp_path, small_dataset, capsys, key):
+    """A NaN grid used to run every cell at chance accuracy and report ok."""
+    nodes, edges = small_dataset
+    cfg = write_config(tmp_path, nodes, edges, **{key: "1, nan"})
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    assert f"{key} must be non-empty with positive finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_run_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -127,6 +137,26 @@ def test_run_all_failed_trials_exit_3(tmp_path, small_dataset, monkeypatch, caps
     monkeypatch.setattr(cli, "run_experiment", all_broken)
     assert main(["run", "--config", cfg, "--quiet"]) == EXIT_ALL_TRIALS_FAILED
     assert "every trial failed" in capsys.readouterr().err
+
+
+def test_validate_reports_the_prepared_graph(tmp_path, capsys):
+    """Counts come from the graph ``run`` would use: the isolated node is
+    dropped, the duplicate, reversed and self-loop edges collapse, and the
+    categorical column expands to one column per category."""
+    nodes = tmp_path / "nodes.tsv"
+    edges = tmp_path / "edges.tsv"
+    nodes.write_text(
+        "id\tlabel\treal\tcat\n"
+        "n1\ta\t1.0\tx\nn2\tb\t2.0\ty\nn3\ta\t3.0\tz\nlone\tb\t4.0\tx\n"
+    )
+    edges.write_text("n1\tn2\nn2\tn1\nn2\tn3\nn1\tn2\nn3\tn3\n")
+    assert main(["validate", "--nodes", str(nodes), "--edges", str(edges)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "nodes: 3 (1 isolated dropped)",
+        "edges: 2",
+        "classes: 2",
+        "attributes: 4 after one-hot encoding",
+    ]
 
 
 def test_validate_reports_data_errors(tmp_path, capsys):

@@ -2,15 +2,19 @@
 
 import math
 import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hybridcc.harness as harness
+from hybridcc.classifiers import LabelRegConfig, lr_train, lr_train_label_reg, nb_relational_train
 from hybridcc.graph import DataGraph, LabelState
 from hybridcc.harness import (
     ConfigError,
     ExperimentConfig,
+    TrialResult,
     accuracy,
     cross_validate_hyperparams,
     degenerate_flag,
@@ -127,6 +131,62 @@ def test_parse_config_requires_paths(tmp_path):
         parse_config_file(str(path))
 
 
+def test_example_config_sets_every_field_to_its_written_value():
+    """The documented example, the dataclass and the parser derived from it
+    agree: the example sets every field, and each parses to the typed value
+    written there (``repr`` tells 15 from 15.0)."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "example.cfg"
+    keys = {
+        line.partition("=")[0].strip()
+        for line in path.read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    }
+    assert keys == {f.name for f in fields(ExperimentConfig)}
+    expected = ExperimentConfig(
+        nodes_path="runs/sweep/nodes.tsv",
+        edges_path="runs/sweep/edges.tsv",
+        densities=(0.01, 0.03, 0.05, 0.09),
+        trials=15,
+        variants=("all-em", "known-onepass", "attr-only", "relat-only"),
+        classifiers=("lr+nb+reg", "lr"),
+        master_seed=0,
+        cv_folds=5,
+        sigma_grid=(0.01, 0.1, 1.0, 10.0, 100.0),
+        alpha_grid=(0.1, 1.0, 10.0),
+        pca_components=0,
+        normalization="zscore",
+        ica_iterations=10,
+        em_iterations=10,
+        output_dir="reports",
+        significance_level=0.05,
+    )
+    assert repr(parse_config_file(str(path))) == repr(expected)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("entry", [
+    "sigma_grid", "alpha_grid", "spec_sigma_sq", "spec_nb_alpha",
+    "lr_train", "lr_train_label_reg", "nb_relational_train",
+])
+def test_hyperparameters_must_be_positive_and_finite(entry, value):
+    """A NaN variance used to fit all-zero weights that reported converged,
+    and a NaN smoothing an all-NaN table; every entry point now refuses."""
+    X, y, ones = np.zeros((2, 1)), np.array([0, 1]), np.ones((2, 2))
+    calls = {
+        "sigma_grid": lambda: ExperimentConfig(nodes_path="n", edges_path="e", sigma_grid=(1.0, value)),
+        "alpha_grid": lambda: ExperimentConfig(nodes_path="n", edges_path="e", alpha_grid=(value,)),
+        "spec_sigma_sq": lambda: ClassifierSpec("lr+nb", sigma_sq=value),
+        "spec_nb_alpha": lambda: ClassifierSpec("lr+nb", nb_alpha=value),
+        "lr_train": lambda: lr_train(X, y, value),
+        "lr_train_label_reg": lambda: lr_train_label_reg(
+            X, y, ones, X, ones, LabelRegConfig(np.array([0.5, 0.5]), 1.0), value,
+        ),
+        "nb_relational_train": lambda: nb_relational_train(ones, y, value),
+    }
+    with pytest.raises(ValueError, match="positive"):
+        calls[entry]()
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -185,17 +245,18 @@ def test_cv_singleton_grids_short_circuit(monkeypatch):
 
     monkeypatch.setattr(harness, "lr_train", boom)
     monkeypatch.setattr(harness, "ssl_learn", boom)
-    sigma, alpha = cross_validate_hyperparams(
-        g, ClassifierSpec("lr+nb+reg"), (7.0,), (0.3,), folds=3, seed=0
-    )
+    sigma, alpha = cross_validate_hyperparams(g, (7.0,), (0.3,), folds=3, seed=0)
     assert (sigma, alpha) == (7.0, 0.3)
 
 
-def test_cv_alpha_skipped_without_nb():
+def test_cv_alpha_skipped_without_nb(monkeypatch):
     g = chain_graph(30, known={0: 0, 5: 1, 10: 0, 15: 1, 20: 0, 25: 1})
-    sigma, alpha = cross_validate_hyperparams(
-        g, ClassifierSpec("lr+lr"), (1.0,), (0.1, 1.0, 10.0), folds=3, seed=0
-    )
+
+    def boom(*a, **k):
+        raise AssertionError("no alpha probe without an alpha grid")
+
+    monkeypatch.setattr(harness, "ssl_learn", boom)
+    sigma, alpha = cross_validate_hyperparams(g, (1.0,), None, folds=3, seed=0)
     assert sigma == 1.0 and alpha is None
 
 
@@ -208,9 +269,7 @@ def test_cv_returns_values_from_the_grids(small_dataset):
     picks = sample_known(g, 0.3, seed=1)
     tg = g.with_known_labels({int(i): int(truth[i]) for i in picks})
     sigma_grid, alpha_grid = (0.1, 1.0, 10.0), (0.5, 2.0)
-    sigma, alpha = cross_validate_hyperparams(
-        tg, ClassifierSpec("lr+nb"), sigma_grid, alpha_grid, folds=4, seed=2
-    )
+    sigma, alpha = cross_validate_hyperparams(tg, sigma_grid, alpha_grid, folds=4, seed=2)
     assert sigma in sigma_grid
     assert alpha in alpha_grid
 
@@ -219,10 +278,12 @@ def test_cv_degenerate_folds_fall_back_to_midpoints():
     g = chain_graph(10, known={0: 0})  # one known node: every fold unusable
     with pytest.warns(UserWarning, match="midpoint"):
         sigma, alpha = cross_validate_hyperparams(
-            g, ClassifierSpec("lr+nb"), (0.1, 1.0, 10.0), (0.5, 1.0), folds=3, seed=0
+            g, (0.1, 1.0, 10.0), (0.5, 1.0), folds=3, seed=0
         )
     assert sigma == 1.0  # middle of the sorted grid
     assert alpha == 1.0
+    with pytest.warns(UserWarning, match="midpoint"):
+        assert cross_validate_hyperparams(g, (0.1, 1.0, 10.0), None, folds=3, seed=0) == (1.0, None)
 
 
 @pytest.mark.parametrize("kinds", [("lr", "lr+nb"), ("lr+nb", "lr")], ids=["lr-first", "nb-first"])
@@ -248,6 +309,60 @@ def test_sigma_search_runs_once_per_trial(small_dataset, tmp_path, monkeypatch, 
         picked = {r.classifier: r for r in results if r.trial == trial}
         assert picked["lr"].sigma_sq == picked["lr+nb"].sigma_sq
         assert picked["lr"].nb_alpha is None and picked["lr+nb"].nb_alpha in (0.5, 2.0)
+
+
+@pytest.mark.parametrize(
+    "variants,kinds,calls,alpha_grid",
+    [
+        (("known-onepass", "attr-only"), ("lr", "lr+nb"), 2, (0.5, 2.0)),
+        (("known-onepass", "attr-only"), ("lr+nb+reg", "lr"), 2, (0.5, 2.0)),
+        (("known-onepass", "attr-only"), ("lr", "lr+lr+reg"), 2, None),
+        (("relat-only",), ("lr", "lr+nb"), 0, None),
+    ],
+    ids=["lr-first", "nb-first", "nb-free", "relat-only-only"],
+)
+def test_one_tuning_call_per_trial(small_dataset, tmp_path, monkeypatch,
+                                   variants, kinds, calls, alpha_grid):
+    """Tuning depends on the kinds only through "does one have an NB
+    member", so each trial makes one call, with an alpha grid only when it
+    does, and none when no cell has a classifier."""
+    seen = []
+    real = harness.cross_validate_hyperparams
+
+    def spy(graph, sigma_grid, alpha_grid, folds, seed, **kwargs):
+        seen.append(alpha_grid)
+        return real(graph, sigma_grid, alpha_grid, folds, seed, **kwargs)
+
+    monkeypatch.setattr(harness, "cross_validate_hyperparams", spy)
+    config = tiny_config(
+        small_dataset, tmp_path, trials=2, variants=variants, classifiers=kinds,
+        sigma_grid=(0.1, 1.0), alpha_grid=(0.5, 2.0),
+    )
+    results = run_experiment(config)
+    assert seen == [alpha_grid] * calls
+    assert all(r.status == "ok" for r in results)
+
+
+def test_tuning_error_fails_every_classifier_cell_of_the_trial(small_dataset, tmp_path, monkeypatch):
+    """One tuning call serves every kind, so an error in the alpha probe
+    also fails the trial's cells whose kind has no NB member."""
+
+    def broken(*a, **k):
+        raise RuntimeError("alpha probe failed")
+
+    monkeypatch.setattr(harness, "ssl_learn", broken)
+    config = tiny_config(
+        small_dataset, tmp_path, trials=2, variants=("attr-only", "relat-only"),
+        classifiers=("lr", "lr+nb"), alpha_grid=(0.5, 2.0),
+    )
+    results = run_experiment(config)
+    tuned = [r for r in results if r.variant != "relat-only"]
+    assert len(tuned) == 4
+    for r in tuned:
+        assert (r.status, r.note, r.accuracy) == ("error", "RuntimeError: alpha probe failed", None)
+        assert r.sigma_sq is None and r.nb_alpha is None
+    relat = [r for r in results if r.variant == "relat-only"]
+    assert len(relat) == 2 and all(r.status == "ok" and r.accuracy is not None for r in relat)
 
 
 def test_pick_best_breaks_ties_toward_smaller_values():
@@ -425,19 +540,25 @@ def test_summary_means_are_arithmetic_means(small_dataset, tmp_path):
         assert row.means[0.1] == pytest.approx(float(np.mean(cell)), abs=1e-15)
 
 
-def test_summary_marks_reference_and_differences(small_dataset, tmp_path):
-    cfg = tiny_config(small_dataset, tmp_path)
-    results = run_experiment(cfg)
-
-    def always_better(a, b, level):
-        return math.inf, 0.0, True
-
-    rows = summarize(results, cfg, significance_test=always_better)
-    assert rows[0].marks[0.1] == "ref"
-    second = rows[1]
-    cell_mean = rows[1].means[0.1]
-    ref_mean = rows[0].means[0.1]
-    assert second.marks[0.1] == ("+" if cell_mean > ref_mean else "*")
+def test_summary_marks_reference_and_differences():
+    """Constant nonzero differences from the reference are significant by
+    construction in ``paired_t_test`` (signed inf, p = 0), so they mark
+    ``+`` above it and ``*`` below it; no difference leaves the mark blank.
+    Accuracies are dyadic so every difference is exactly 0.125 or 0."""
+    cfg = ExperimentConfig(
+        nodes_path="n", edges_path="e", densities=(0.1,), trials=3,
+        variants=("all-em", "attr-only", "no-ssl", "known-em"), classifiers=("lr",),
+    )
+    shift = {"all-em": 0.0, "attr-only": 0.125, "no-ssl": -0.125, "known-em": 0.0}
+    results = [
+        TrialResult(density=0.1, trial=t, variant=v, classifier="lr",
+                    accuracy=base + shift[v], sigma_sq=1.0, nb_alpha=None, degenerate=False)
+        for v in cfg.variants
+        for t, base in enumerate((0.5, 0.625, 0.75))
+    ]
+    rows = summarize(results, cfg)
+    assert [row.marks[0.1] for row in rows] == ["ref", "+", "*", ""]
+    assert rows[1].means[0.1] == 0.75 and rows[2].means[0.1] == 0.5
 
 
 def test_trials_csv_layout(small_dataset, tmp_path):

@@ -72,8 +72,6 @@ def test_spec_predicates_and_stripping():
     bare = spec.without_label_reg()
     assert bare.kind == "lr+nb" and not bare.regularized
     assert bare.sigma_sq == 2.0 and bare.nb_alpha == 0.5
-    tuned = spec.with_hyperparams(sigma_sq=9.0)
-    assert tuned.sigma_sq == 9.0 and tuned.nb_alpha == 0.5 and tuned.regularized
     assert not ClassifierSpec("lr").hybrid
     with pytest.raises(ValueError):
         ClassifierSpec("gbm")
