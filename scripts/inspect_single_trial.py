@@ -27,6 +27,7 @@ from hybridcc import (
     attr_only,
     class_prior,
     degenerate_flag,
+    fit_attribute_only,
     no_ssl,
     prepare_dataset,
     sample_known,
@@ -64,22 +65,23 @@ def main() -> int:
           f"{np.array2string(target, precision=3)}\n")
 
     spec = ClassifierSpec(args.classifier)
+    attr_model = fit_attribute_only(tg, spec.sigma_sq)
     header = f"{'variant':<16}{'accuracy':>9}  {'collapse':<9}train size per fit run"
     print(header)
     for name in SSL_VARIANT_NAMES:
         diag = {}
-        state = ssl_learn(tg, variant_from_name(name), spec, diagnostics=diag)
+        state = ssl_learn(tg, variant_from_name(name), spec, attr_model, diagnostics=diag)
         flag = degenerate_flag(state, unknown, target)
         sizes = diag.get("train_sizes", [])
         print(f"{name:<16}{accuracy(state, truth, unknown):>9.4f}  "
               f"{'yes' if flag else 'no':<9}{sizes}")
 
     diag = {}
-    state = no_ssl(tg, spec, diagnostics=diag)
+    state = no_ssl(tg, spec, attr_model, diagnostics=diag)
     print(f"{'no-ssl':<16}{accuracy(state, truth, unknown):>9.4f}  "
           f"{'yes' if degenerate_flag(state, unknown, target) else 'no':<9}"
           f"{diag.get('train_sizes', [])}")
-    state = attr_only(tg, spec)
+    state = attr_only(tg, attr_model)
     print(f"{'attr-only':<16}{accuracy(state, truth, unknown):>9.4f}  "
           f"{'yes' if degenerate_flag(state, unknown, target) else 'no':<9}[]")
     state = wvrn_rl(tg)

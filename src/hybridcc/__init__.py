@@ -33,10 +33,8 @@ from .classifiers import (
     LabelRegConfig,
     LRModel,
     NBRelationalModel,
-    empirical_label_distribution,
     hybrid_combine,
     kl_penalty,
-    label_reg_gradient,
     lr_predict_proba,
     lr_train,
     lr_train_label_reg,
@@ -50,6 +48,7 @@ from .learning import (
     ClassifierSpec,
     SslVariant,
     attr_only,
+    fit_attribute_only,
     no_ssl,
     ssl_learn,
     variant_from_name,
@@ -89,11 +88,11 @@ __all__ = [
     "LRModel", "NBRelationalModel", "HybridModel", "ConcatLRModel",
     "LabelRegConfig", "ConvergenceWarning", "lr_train", "lr_predict_proba",
     "nb_relational_train", "nb_relational_predict", "hybrid_combine",
-    "empirical_label_distribution", "kl_penalty", "label_reg_gradient",
-    "lr_train_label_reg",
+    "kl_penalty", "lr_train_label_reg",
     "ica", "wvrn_rl",
     "SslVariant", "ClassifierSpec", "SSL_VARIANT_NAMES",
-    "CLASSIFIER_KINDS", "variant_from_name", "ssl_learn", "no_ssl", "attr_only",
+    "CLASSIFIER_KINDS", "variant_from_name", "fit_attribute_only", "ssl_learn",
+    "no_ssl", "attr_only",
     "DataError", "RawDataset", "PreparedDataset",
     "load_dataset", "remove_isolated", "binarize_categorical",
     "pca_fit_transform", "normalize_features", "prepare_dataset",

@@ -38,9 +38,7 @@ __all__ = [
     "nb_relational_predict",
     "hybrid_combine",
     "relational_log_proba",
-    "empirical_label_distribution",
     "kl_penalty",
-    "label_reg_gradient",
     "lr_train_label_reg",
 ]
 
@@ -64,10 +62,6 @@ class LRModel:
     sigma_sq: float
     converged: bool = True
     n_iter: int = 0
-
-    @property
-    def n_classes(self) -> int:
-        return self.weights.shape[0]
 
     @property
     def feature_dim(self) -> int:
@@ -154,7 +148,7 @@ def _log_proba(weights, Xb, log_beta=None):
     return _log_softmax(logits)
 
 
-def _log_beta_of(beta, n, n_classes, name="beta"):
+def _log_beta_of(beta, n, n_classes, name):
     if beta is None:
         return None
     beta = np.asarray(beta, dtype=float)
@@ -355,9 +349,9 @@ class HybridModel:
 
     ``relational_model`` is either an ``LRModel`` over proportion features
     or an ``NBRelationalModel`` over multiset counts, and ``reads_counts``
-    says which of the two the relational input of ``predict_proba`` must
-    be. ``prior`` is the class distribution divided out by the product rule
-    and must be strictly positive.
+    says which of the two the relational rows must be. ``prior`` is the
+    class distribution divided out by the product rule and must be
+    strictly positive.
     """
 
     attribute_model: LRModel
@@ -375,9 +369,9 @@ class HybridModel:
         return isinstance(self.relational_model, NBRelationalModel)
 
     def given_attributes(self, attributes):
-        """``predict_proba`` with the attribute rows fixed: the attribute
-        member is evaluated once, and the returned function takes only the
-        relational rows."""
+        """Class probabilities as a function of the relational rows alone,
+        for fixed attribute rows: the attribute member is evaluated once,
+        here, and the returned function evaluates only the rest."""
         log_p_attr = _lr_log_proba(self.attribute_model, attributes)
 
         def predict(relational):
@@ -386,9 +380,6 @@ class HybridModel:
             )
 
         return predict
-
-    def predict_proba(self, attributes, relational) -> np.ndarray:
-        return self.given_attributes(attributes)(relational)
 
 
 @dataclass(frozen=True)
@@ -405,27 +396,9 @@ class ConcatLRModel:
     reads_counts = False
 
     def given_attributes(self, attributes):
-        return lambda relational: self.predict_proba(attributes, relational)
-
-    def predict_proba(self, attributes, relational) -> np.ndarray:
-        return lr_predict_proba(self.model, np.hstack([attributes, relational]))
-
-
-def empirical_label_distribution(model: LRModel, unlabeled_features, beta=None) -> np.ndarray:
-    """Average predicted class distribution over the unlabeled rows.
-
-    ``beta`` supplies per-row positive class multipliers (the fixed
-    relational evidence divided by the prior); the per-row prediction is
-    then ``beta_y exp(x.w_y) / sum_y' beta_y' exp(x.w_y')``. Without
-    ``beta`` this is the plain softmax average.
-    """
-    X = _check_features(unlabeled_features, "unlabeled features")
-    if X.shape[0] == 0:
-        raise ValueError("unlabeled set must be non-empty")
-    if X.shape[1] != model.feature_dim:
-        raise ValueError("feature dimension mismatch")
-    log_beta = _log_beta_of(beta, X.shape[0], model.n_classes)
-    return np.exp(_log_proba(model.weights, _with_bias(X), log_beta)).mean(axis=0)
+        return lambda relational: lr_predict_proba(
+            self.model, np.hstack([attributes, relational])
+        )
 
 
 def kl_penalty(target, empirical, epsilon_floor=1e-10) -> float:
@@ -461,24 +434,6 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target, epsilon_floor):
     weighted = P * (row_mix[:, None] - ratios[None, :])
     grad = (weighted.T @ Xb_unl) / Xb_unl.shape[0]
     return value, grad
-
-
-def label_reg_gradient(model: LRModel, unlabeled_features, beta, target,
-                       epsilon_floor=1e-10) -> np.ndarray:
-    """Gradient of the label-regularization penalty at the model's weights.
-
-    Returns a (classes x features+1) matrix; the trailing column is the
-    bias gradient (the bias acts as a constant-1 feature).
-    """
-    X = _check_features(unlabeled_features, "unlabeled features")
-    if X.shape[0] == 0:
-        raise ValueError("unlabeled set must be non-empty")
-    target = np.asarray(target, dtype=float)
-    log_beta = _log_beta_of(beta, X.shape[0], model.n_classes)
-    _, grad = _label_reg_value_grad(
-        model.weights, _with_bias(X), log_beta, target, epsilon_floor
-    )
-    return grad
 
 
 def lr_train_label_reg(known_features, known_labels, known_beta,

@@ -40,6 +40,7 @@ from .learning import (
     ClassifierSpec,
     SslVariant,
     attr_only,
+    fit_attribute_only,
     no_ssl,
     ssl_learn,
     variant_from_name,
@@ -296,10 +297,11 @@ def cross_validate_hyperparams(graph: DataGraph, sigma_grid, alpha_grid, folds, 
     unless ``alpha_grid`` is None (no configured kind has a Naive Bayes
     member), the smoothing is scored with that variance fixed, by running
     ``lr+nb`` known-onepass on each fold and scoring the held-out nodes;
-    the probe has no label regularization, so ``lr+nb+reg`` shares the
-    answer too. Held-out nodes are unlabeled during tuning, so tuning sees
-    exactly the information a trial would. A one-value grid is returned
-    without a search. Ties go to the smaller grid value; if no fold is
+    each fold's attribute-only model is fitted once and shared by every
+    alpha. The probe has no label regularization, so ``lr+nb+reg`` shares
+    the answer too. Held-out nodes are unlabeled during tuning, so tuning
+    sees exactly the information a trial would. A one-value grid is
+    returned without a search. Ties go to the smaller grid value; if no fold is
     usable both answers fall back to the grid midpoint with a warning.
     Returns (sigma_sq, nb_alpha), the latter None when ``alpha_grid`` is.
     """
@@ -344,9 +346,10 @@ def cross_validate_hyperparams(graph: DataGraph, sigma_grid, alpha_grid, folds, 
     hits = dict.fromkeys(alpha_grid, 0)
     for train, held_out in usable:
         fold_graph = graph.with_known_labels(zip(train.tolist(), labels[train].tolist()))
+        attr_model = fit_attribute_only(fold_graph, sigma)
         for a in alpha_grid:
             state = ssl_learn(
-                fold_graph, probe, ClassifierSpec("lr+nb", sigma, a),
+                fold_graph, probe, ClassifierSpec("lr+nb", sigma, a), attr_model,
                 ica_iterations=ica_iterations,
             )
             hits[a] += int(np.sum(state.labels[held_out] == labels[held_out]))
@@ -438,13 +441,13 @@ def _sanitize_note(text: str) -> str:
     return " ".join(str(text).split())
 
 
-def _run_cell(variant, spec, trial_graph, ica_iterations, em_iterations):
+def _run_cell(variant, spec, attr_model, trial_graph, ica_iterations, em_iterations):
     if variant == "attr-only":
-        return attr_only(trial_graph, spec)
+        return attr_only(trial_graph, attr_model)
     if variant == "no-ssl":
-        return no_ssl(trial_graph, spec, ica_iterations=ica_iterations)
+        return no_ssl(trial_graph, spec, attr_model, ica_iterations=ica_iterations)
     return ssl_learn(
-        trial_graph, variant_from_name(variant, em_iterations), spec,
+        trial_graph, variant_from_name(variant, em_iterations), spec, attr_model,
         ica_iterations=ica_iterations,
     )
 
@@ -453,15 +456,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     """Execute the full trial grid and write both CSV reports.
 
     Within each (density, trial) cell the known set is sampled once and
-    shared by every (variant, classifier) pair. Each trial is tuned once, by
-    one ``cross_validate_hyperparams`` call at its first classifier cell:
-    every kind gets the trial's prior variance, and kinds with an NB member
-    also get its smoothing, which is searched only when some configured kind
-    has one (the others report a blank ``nb_alpha``).
-    A failing cell records an error row; the run continues. A tuning error
-    therefore fails every classifier cell of its trial. Returns the
-    results in report order after writing ``trials.csv`` and
-    ``summary.csv`` under ``config.output_dir``.
+    shared by every (variant, classifier) pair. Before its cells, a trial
+    with any classifier cell is tuned by one ``cross_validate_hyperparams``
+    call, and its attribute-only model is fitted once at the tuned prior
+    variance (``fit_attribute_only``): every kind gets that variance and
+    that model, and kinds with an NB member also get the smoothing, which
+    is searched only when some configured kind has one (the others report
+    a blank ``nb_alpha``). A failing cell records an error row; the run
+    continues. An error in tuning or in the attribute-only fit fails every
+    classifier cell of its trial with that note. Returns the results in
+    report order after writing ``trials.csv`` and ``summary.csv`` under
+    ``config.output_dir``.
     """
     dataset = prepare_dataset(
         config.nodes_path, config.edges_path,
@@ -471,6 +476,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     graph, truth = dataset.graph, dataset.truth
     combos = _combos(config)
     nb_kinds = {kind for kind in config.classifiers if ClassifierSpec(kind).uses_nb}
+    any_classifier = any(variant != "relat-only" for variant in config.variants)
 
     results: list[TrialResult] = []
     for d_idx, density in enumerate(config.densities):
@@ -485,7 +491,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
             target = class_prior(trial_graph)
 
             cv_seed = np.random.SeedSequence((config.master_seed, d_idx, trial, 1))
-            tuned = None
+            tuned = failure = None
+            if any_classifier:
+                try:
+                    sigma, alpha = cross_validate_hyperparams(
+                        trial_graph, config.sigma_grid,
+                        config.alpha_grid if nb_kinds else None,
+                        config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
+                    )
+                    tuned = sigma, alpha, fit_attribute_only(trial_graph, sigma)
+                except Exception as exc:  # noqa: BLE001 - trial isolation
+                    failure = exc
             for variant, kind in combos:
                 start = time.perf_counter()
                 sigma = alpha = None
@@ -493,19 +509,15 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                     if variant == "relat-only":
                         state = wvrn_rl(trial_graph)
                     else:
-                        if tuned is None:
-                            tuned = cross_validate_hyperparams(
-                                trial_graph, config.sigma_grid,
-                                config.alpha_grid if nb_kinds else None,
-                                config.cv_folds, cv_seed, ica_iterations=config.ica_iterations,
-                            )
-                        sigma, alpha = tuned
+                        if failure is not None:
+                            raise failure
+                        sigma, alpha, attr_model = tuned
                         if kind in nb_kinds:
                             spec = ClassifierSpec(kind, sigma_sq=sigma, nb_alpha=alpha)
                         else:
                             spec, alpha = ClassifierSpec(kind, sigma_sq=sigma), None
                         state = _run_cell(
-                            variant, spec, trial_graph, config.ica_iterations,
+                            variant, spec, attr_model, trial_graph, config.ica_iterations,
                             config.em_iterations,
                         )
                     acc = accuracy(state, truth, unknown)

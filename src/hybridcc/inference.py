@@ -57,7 +57,7 @@ def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -
     unknown ones by some first guess, normally ``learning.attr_only``'s.
     ``node_model`` must offer ``reads_counts`` (whether its relational
     input is neighbor-label counts or proportions) and
-    ``given_attributes(attributes)``, its ``predict_proba`` as a function
+    ``given_attributes(attributes)``, its class probabilities as a function
     of the relational rows alone; ``ica`` calls it once, so a hybrid's
     attribute member is evaluated once per call, not once per round.
     Each of the ``iterations`` rounds computes the feature kind the node

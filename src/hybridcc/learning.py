@@ -17,9 +17,14 @@ predicted labels still reach the classifier through its inputs.
 
 Two baselines bracket the recipe: ``no_ssl`` never lets unlabeled nodes
 into training (their links are excluded from the relational features), and
-``attr_only`` skips relational information entirely. ``attr_only`` is also
-the one place the attribute-only model is trained: its labeling is the
-start state that ``ssl_learn`` and ``no_ssl`` hand to every ICA pass.
+``attr_only`` skips relational information entirely.
+
+The attribute-only model, a logistic regression on the known nodes'
+attributes, depends only on the graph and the prior variance, so it is
+per-trial data: ``fit_attribute_only`` fits it, and ``attr_only``,
+``ssl_learn`` and ``no_ssl`` receive it. ``attr_only``'s labeling is the
+start state of every ICA pass, and a hybrid trained on the known nodes
+without label regularization uses the model itself as its attribute member.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .classifiers import (
     ConcatLRModel,
     HybridModel,
     LabelRegConfig,
+    LRModel,
     lr_predict_proba,
     lr_train,
     lr_train_label_reg,
@@ -54,6 +60,7 @@ __all__ = [
     "SSL_VARIANT_NAMES",
     "CLASSIFIER_KINDS",
     "variant_from_name",
+    "fit_attribute_only",
     "ssl_learn",
     "no_ssl",
     "attr_only",
@@ -138,19 +145,22 @@ class ClassifierSpec:
         return replace(self, kind=self.kind[: -len("+reg")])
 
 
-def _train_node_model(graph, state, spec, train_nodes, prior,
+def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
                       neighbor_mask=None, diagnostics=None):
-    """Step-5 training: fit the node classifier on ``train_nodes``.
+    """Step-5 training: fit the node classifier on every node or on the
+    known nodes, per ``learn_from_all``.
 
     Relational features come from the full current labeling, or from the
     ``neighbor_mask`` subset when given; only the kind the node model reads
     is computed (counts for Naive Bayes members, proportions otherwise).
-    For hybrid specs the relational member is fitted first; ``+reg`` specs
-    then freeze its predictions into the per-node multipliers for
+    For hybrid specs the relational member is fitted first. Trained on the
+    known nodes without label regularization, the attribute member is
+    ``attr_model`` itself; ``+reg`` specs instead freeze the relational
+    member's predictions into the per-node multipliers for
     label-regularized attribute training, with penalty weight
     ``10 * |known nodes|`` towards the class prior.
     """
-    train_nodes = np.asarray(train_nodes, dtype=np.int64)
+    train_nodes = np.arange(graph.node_count) if learn_from_all else graph.known_nodes
     labels = state.labels[train_nodes]
     if labels.size == 0 or labels.min() < 0:
         raise ValueError("training nodes must all carry labels")
@@ -177,9 +187,7 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
             features[train_nodes], labels, spec.sigma_sq, n_classes=c
         )
 
-    if not spec.regularized:
-        attr_model = lr_train(attrs[train_nodes], labels, spec.sigma_sq, n_classes=c)
-    else:
+    if spec.regularized:
         unknown = graph.unknown_nodes
 
         def beta_for(rows):
@@ -192,43 +200,57 @@ def _train_node_model(graph, state, spec, train_nodes, prior,
             attrs[unknown], beta_for(unknown),
             config, spec.sigma_sq, n_classes=c,
         )
+    elif learn_from_all:
+        attr_model = lr_train(attrs[train_nodes], labels, spec.sigma_sq, n_classes=c)
     return HybridModel(attribute_model=attr_model, relational_model=rel_model, prior=prior)
 
 
-def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec, *,
-              ica_iterations: int = 10,
+def fit_attribute_only(graph: DataGraph, sigma_sq: float) -> LRModel:
+    """Fit the attribute-only model: a logistic regression on the known
+    nodes' attributes alone, under prior variance ``sigma_sq``."""
+    if not graph.known_labels:
+        raise ValueError("learning requires at least one known label")
+    known = graph.known_nodes
+    labels = LabelState.from_graph(graph).labels[known]
+    return lr_train(graph.attributes[known], labels, sigma_sq, n_classes=graph.n_classes)
+
+
+def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
+              attr_model: LRModel, *, ica_iterations: int = 10,
               diagnostics: dict | None = None) -> LabelState:
     """Run the generic semi-supervised loop and return the final labeling.
 
-    ``attr_only`` labels the unknown nodes once; that labeling is the first
-    iteration's input and the start of every iteration's collective
-    inference. Each iteration recomputes relational features from the
-    current labeling, trains the node classifier on all nodes or on the
-    supervised nodes per ``variant.learn_from_all``, and replaces the
-    unknown labels with a fresh ``ica`` pass of at most ``ica_iterations``
-    rounds. Every iteration is a deterministic function of the incoming
-    labeling, so the loop stops at the first repeated labeling and returns
-    the one ``variant.n_iterations`` iterations reach (see ``iterate``).
+    ``attr_model`` is ``fit_attribute_only(graph, spec.sigma_sq)``; another
+    prior variance raises ``ValueError``. ``attr_only`` labels the unknown
+    nodes with it once; that labeling is the first iteration's input and
+    the start of every iteration's collective inference. Each iteration
+    recomputes relational features from the current labeling, trains the
+    node classifier on all nodes or on the supervised nodes per
+    ``variant.learn_from_all``, and replaces the unknown labels with a
+    fresh ``ica`` pass of at most ``ica_iterations`` rounds. Every
+    iteration is a deterministic function of the incoming labeling, so the
+    loop stops at the first repeated labeling and returns the one
+    ``variant.n_iterations`` iterations reach (see ``iterate``).
     ``diagnostics["train_sizes"]`` gets one entry per fit actually run.
     """
-    start = attr_only(graph, spec)
+    if attr_model.sigma_sq != spec.sigma_sq:
+        raise ValueError("attr_model was fitted under another sigma_sq than spec's")
+    start = attr_only(graph, attr_model)
     if graph.unknown_nodes.size == 0:
         return start
     prior = class_prior(graph)
-    train_nodes = (
-        np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
-    )
 
     def em_step(state):
         node_model = _train_node_model(
-            graph, state, spec, train_nodes, prior, diagnostics=diagnostics
+            graph, state, spec, attr_model, variant.learn_from_all, prior,
+            diagnostics=diagnostics,
         )
         return ica(graph, start, node_model, ica_iterations)
 
     return iterate(em_step, start, variant.n_iterations)
 
 
-def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
+def no_ssl(graph: DataGraph, spec: ClassifierSpec, attr_model: LRModel, *,
            ica_iterations: int = 10,
            diagnostics: dict | None = None) -> LabelState:
     """Train without unlabeled data, then run collective inference once.
@@ -236,34 +258,31 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, *,
     The node classifier is fitted on the supervised nodes with relational
     features restricted to supervised neighbors (a node whose neighbors are
     all unlabeled contributes an all-zero proportion row and an empty count
-    row). Label regularization is switched off here regardless of ``spec``
-    because the penalty is defined over unlabeled nodes. Inference still
-    runs over the whole graph from the ``attr_only`` labeling, for at most
+    row); a hybrid's attribute member is ``attr_model``, which must be
+    ``fit_attribute_only(graph, spec.sigma_sq)`` as in ``ssl_learn``. Label
+    regularization is switched off here regardless of ``spec`` because the
+    penalty is defined over unlabeled nodes. Inference still runs over the
+    whole graph from the ``attr_only`` labeling, for at most
     ``ica_iterations`` rounds, so unlabeled nodes enter at prediction time
     only.
     """
-    spec = spec.without_label_reg()
-    start = attr_only(graph, spec)
+    if attr_model.sigma_sq != spec.sigma_sq:
+        raise ValueError("attr_model was fitted under another sigma_sq than spec's")
+    start = attr_only(graph, attr_model)
     if graph.unknown_nodes.size == 0:
         return start
     node_model = _train_node_model(
-        graph, LabelState.from_graph(graph), spec, graph.known_nodes, class_prior(graph),
-        neighbor_mask=graph.known_mask(), diagnostics=diagnostics,
+        graph, LabelState.from_graph(graph), spec.without_label_reg(), attr_model, False,
+        class_prior(graph), neighbor_mask=graph.known_mask(), diagnostics=diagnostics,
     )
     return ica(graph, start, node_model, ica_iterations)
 
 
-def attr_only(graph: DataGraph, spec: ClassifierSpec) -> LabelState:
-    """Label every unknown node by the argmax of a logistic regression
-    trained on the supervised nodes' attributes alone (prior variance
-    ``spec.sigma_sq``); no relational features, no loop."""
-    if not graph.known_labels:
-        raise ValueError("learning requires at least one known label")
+def attr_only(graph: DataGraph, attr_model: LRModel) -> LabelState:
+    """Label every unknown node by the argmax of the attribute-only model
+    ``attr_model`` (see ``fit_attribute_only``) on its attributes; no
+    relational features, no loop."""
     state = LabelState.from_graph(graph)
-    known = graph.known_nodes
-    model = lr_train(
-        graph.attributes[known], state.labels[known], spec.sigma_sq, n_classes=graph.n_classes
-    )
-    proba = lr_predict_proba(model, graph.attributes[graph.unknown_nodes])
+    proba = lr_predict_proba(attr_model, graph.attributes[graph.unknown_nodes])
     state.set_predicted(np.argmax(proba, axis=1))
     return state

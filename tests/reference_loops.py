@@ -1,8 +1,9 @@
 """Reference loops for the early-exit tests: EM and ICA with every
 iteration and every round run, however early the labeling repeats, and
-each ICA round computed the long way (both feature kinds, the attribute
-member re-evaluated), every ICA pass bootstrapped from its own
-attribute-only model."""
+each ICA round computed the long way (both feature kinds, the whole node
+model re-evaluated). Every ICA pass is bootstrapped from, and every node
+model trained with, an attribute-only model fitted afresh, so the
+references do not depend on the learner sharing one."""
 
 import numpy as np
 
@@ -23,21 +24,27 @@ def attribute_model(graph, spec):
     return lr_train(graph.attributes[known], labels, spec.sigma_sq, n_classes=graph.n_classes)
 
 
-def full_budget_ica(graph, bootstrap_model, node_model, iterations):
+def attribute_only_state(graph, spec):
+    """The unknown nodes labeled by a fresh attribute-only model."""
+    state = LabelState.from_graph(graph)
+    proba = lr_predict_proba(attribute_model(graph, spec), graph.attributes[graph.unknown_nodes])
+    state.set_predicted(np.argmax(proba, axis=1))
+    return state
+
+
+def full_budget_ica(graph, spec, node_model, iterations):
     """Reference ICA that always runs every round. Every round computes
     both feature kinds and evaluates the whole node model, attribute
     member included. Returns the final state and the labeling after the
     bootstrap and after each round."""
-    state = LabelState.from_graph(graph)
+    state = attribute_only_state(graph, spec)
     unknown = graph.unknown_nodes
-    attrs = graph.attributes
-    state.set_predicted(np.argmax(lr_predict_proba(bootstrap_model, attrs[unknown]), axis=1))
     history = [state.labels.copy()]
     for _ in range(iterations):
         proportions = compute_proportion_features(graph, state)
         counts = compute_multiset_features(graph, state)
         relational = counts if node_model.reads_counts else proportions
-        proba = node_model.predict_proba(attrs[unknown], relational[unknown])
+        proba = node_model.given_attributes(graph.attributes[unknown])(relational[unknown])
         state.set_predicted(np.argmax(proba, axis=1))
         history.append(state.labels.copy())
     return state, history
@@ -47,16 +54,14 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
     """Reference EM loop that always runs every iteration, each with a
     full-budget ICA. Returns the labeling after the bootstrap and after each
     iteration, plus every (node model, ICA history)."""
-    state = LabelState.from_graph(graph)
-    unknown = graph.unknown_nodes
-    m_a = attribute_model(graph, spec)
+    state = attribute_only_state(graph, spec)
     prior = class_prior(graph)
-    state.set_predicted(np.argmax(lr_predict_proba(m_a, graph.attributes[unknown]), axis=1))
-    train_nodes = np.arange(graph.node_count) if variant.learn_from_all else graph.known_nodes
     history, ica_runs = [state.labels.copy()], []
     for _ in range(variant.n_iterations):
-        node_model = _train_node_model(graph, state, spec, train_nodes, prior)
-        state, ica_history = full_budget_ica(graph, m_a, node_model, ica_iterations)
+        node_model = _train_node_model(
+            graph, state, spec, attribute_model(graph, spec), variant.learn_from_all, prior
+        )
+        state, ica_history = full_budget_ica(graph, spec, node_model, ica_iterations)
         ica_runs.append((node_model, ica_history))
         history.append(state.labels.copy())
     return history, ica_runs
@@ -68,12 +73,11 @@ def full_budget_no_ssl(graph, spec, ica_iterations):
     final labeling as a one-entry history, plus the (node model, ICA
     history)."""
     spec = spec.without_label_reg()
-    m_a = attribute_model(graph, spec)
     node_model = _train_node_model(
-        graph, LabelState.from_graph(graph), spec, graph.known_nodes, class_prior(graph),
-        neighbor_mask=graph.known_mask(),
+        graph, LabelState.from_graph(graph), spec, attribute_model(graph, spec), False,
+        class_prior(graph), neighbor_mask=graph.known_mask(),
     )
-    state, ica_history = full_budget_ica(graph, m_a, node_model, ica_iterations)
+    state, ica_history = full_budget_ica(graph, spec, node_model, ica_iterations)
     return [state.labels.copy()], [(node_model, ica_history)]
 
 
@@ -84,4 +88,3 @@ def first_repeat_period(history):
             if np.array_equal(history[k], history[i]):
                 return k - i
     return None
-

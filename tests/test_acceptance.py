@@ -13,18 +13,21 @@ import numpy as np
 import pytest
 
 from hybridcc.classifiers import (
+    _label_reg_value_grad,
     hybrid_combine,
-    kl_penalty,
-    label_reg_gradient,
-    LRModel,
-    empirical_label_distribution,
     nb_relational_predict,
     nb_relational_train,
 )
 from hybridcc.graph import DataGraph, LabelState, class_prior
 from hybridcc.harness import ExperimentConfig, run_experiment, sample_known
 from hybridcc.inference import wvrn_rl
-from hybridcc.learning import CLASSIFIER_KINDS, ClassifierSpec, ssl_learn, variant_from_name
+from hybridcc.learning import (
+    CLASSIFIER_KINDS,
+    ClassifierSpec,
+    fit_attribute_only,
+    ssl_learn,
+    variant_from_name,
+)
 from hybridcc.synthetic import generate_dataset, synthetic_graph, write_dataset
 
 
@@ -41,7 +44,9 @@ def budget(label, elapsed, limit):
 
 
 def test_acceptance_1_regularizer_gradient_matches_finite_differences():
-    """Analytic penalty gradient vs central differences, 20 random instances."""
+    """Analytic penalty gradient vs central differences of the penalty
+    value, both from the training objective's own ``_label_reg_value_grad``,
+    20 random instances."""
     start = time.perf_counter()
     rng = np.random.default_rng(20240901)
     h = 1e-6
@@ -51,13 +56,12 @@ def test_acceptance_1_regularizer_gradient_matches_finite_differences():
         X = rng.normal(size=(20, 5))
         beta = rng.uniform(0.5, 2.0, size=(20, 3))
         target = rng.dirichlet(np.ones(3) * 5.0)
+        Xb = np.hstack([X, np.ones((20, 1))])
 
         def penalty_at(w):
-            model = LRModel(weights=w, sigma_sq=1.0, converged=True, n_iter=0)
-            return kl_penalty(target, empirical_label_distribution(model, X, beta=beta))
+            return _label_reg_value_grad(w, Xb, np.log(beta), target, 1e-10)[0]
 
-        model = LRModel(weights=weights, sigma_sq=1.0, converged=True, n_iter=0)
-        analytic = label_reg_gradient(model, X, beta, target)
+        _, analytic = _label_reg_value_grad(weights, Xb, np.log(beta), target, 1e-10)
         fd = np.zeros_like(weights)
         for i in range(weights.shape[0]):
             for j in range(weights.shape[1]):
@@ -154,11 +158,12 @@ def test_acceptance_4_one_pass_equals_single_iteration_refit():
         picks = sample_known(graph, 0.05, seed=np.random.SeedSequence((55, 0, seed, 0)))
         tg = graph.with_known_labels({int(i): int(truth[i]) for i in picks})
         unknown = tg.unknown_nodes
+        m_a = fit_attribute_only(tg, 1.0)
         for kind in CLASSIFIER_KINDS:
             spec = ClassifierSpec(kind)
             for family in ("all", "known"):
-                one = ssl_learn(tg, variant_from_name(f"{family}-onepass"), spec)
-                em1 = ssl_learn(tg, variant_from_name(f"{family}-em", em_iterations=1), spec)
+                one = ssl_learn(tg, variant_from_name(f"{family}-onepass"), spec, m_a)
+                em1 = ssl_learn(tg, variant_from_name(f"{family}-em", em_iterations=1), spec, m_a)
                 acc_one = float(np.mean(one.labels[unknown] == truth[unknown]))
                 acc_em1 = float(np.mean(em1.labels[unknown] == truth[unknown]))
                 if acc_one != acc_em1:

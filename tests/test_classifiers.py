@@ -13,15 +13,14 @@ from hybridcc.classifiers import (
     HybridModel,
     LabelRegConfig,
     LRModel,
-    empirical_label_distribution,
     hybrid_combine,
     kl_penalty,
-    label_reg_gradient,
     lr_predict_proba,
     lr_train,
     lr_train_label_reg,
     nb_relational_predict,
     nb_relational_train,
+    _label_reg_value_grad,
     _log_softmax,
 )
 
@@ -29,6 +28,25 @@ from hybridcc.classifiers import (
 def make_lr(weights):
     weights = np.asarray(weights, dtype=float)
     return LRModel(weights=weights, sigma_sq=1.0, converged=True, n_iter=0)
+
+
+def with_bias(X):
+    return np.hstack([X, np.ones((len(X), 1))])
+
+
+def mean_prediction(weights, X, beta=None):
+    """Reference mean over the rows of X of the beta-weighted softmax
+    ``beta_y exp(x.w_y) / sum_y' beta_y' exp(x.w_y')``."""
+    logits = with_bias(X) @ np.asarray(weights).T
+    if beta is not None:
+        logits = logits + np.log(beta)
+    return np.exp(logits - logsumexp(logits, axis=1, keepdims=True)).mean(axis=0)
+
+
+def penalty_value_grad(weights, X, beta, target):
+    """``_label_reg_value_grad`` on feature rows and positive multipliers."""
+    log_beta = None if beta is None else np.log(beta)
+    return _label_reg_value_grad(np.asarray(weights), with_bias(X), log_beta, target, 1e-10)
 
 
 # ---------------------------------------------------------------- logistic
@@ -192,16 +210,16 @@ def test_hybrid_model_dispatches_on_member_type():
     # NB member reads counts, LR member reads proportions
     assert nb.reads_counts and not lr.reads_counts
     assert not ConcatLRModel(m_attr).reads_counts
-    p_nb = nb.predict_proba(attrs, counts)
-    p_lr = lr.predict_proba(attrs, props)
+    predict_nb = nb.given_attributes(attrs)
+    p_nb = predict_nb(counts)
+    p_lr = lr.given_attributes(attrs)(props)
     assert np.allclose(p_nb.sum(axis=1), 1.0)
     assert np.allclose(p_lr.sum(axis=1), 1.0)
     # NB member must consume counts: scaling counts changes its output
-    p_nb2 = nb.predict_proba(attrs, counts * 3.0)
+    p_nb2 = predict_nb(counts * 3.0)
     assert not np.allclose(p_nb, p_nb2)
-    # the attribute member evaluated once gives the same bits
+    # one attribute evaluation serves every call with the same bits
     assert np.array_equal(nb.given_attributes(attrs)(counts * 3.0), p_nb2)
-    assert np.array_equal(lr.given_attributes(attrs)(props), p_lr)
 
 
 def test_hybrid_combine_survives_disjoint_underflowed_support():
@@ -222,7 +240,7 @@ def test_hybrid_model_is_exact_when_both_members_underflow():
     attrs = np.array([[-300.0]])
     counts = np.array([[600.0, 0.0]])
     model = HybridModel(attribute_model=attr, relational_model=nb, prior=nb.class_prior)
-    p = model.predict_proba(attrs, counts)
+    p = model.given_attributes(attrs)(counts)
 
     attr_logits = attrs @ attr.weights[:, :-1].T
     exact = np.argmax(attr_logits + counts @ np.log(nb.neighbor_table).T, axis=1)
@@ -243,7 +261,7 @@ def test_single_vector_inputs_are_rejected():
     with pytest.raises(ValueError):
         hybrid_combine(np.log(vec), np.log(vec), vec)
     with pytest.raises(ValueError):
-        concat.predict_proba(np.array([1.0]), vec)
+        concat.given_attributes(np.array([1.0]))(vec)
 
 
 # A few shared values make tied row maxima common; the wide floats reach
@@ -298,45 +316,51 @@ def test_kl_penalty_nonnegative(seed, c):
 
 
 def test_empirical_distribution_is_mean_prediction():
+    """Without multipliers the penalty compares the target with the mean
+    of the model's predictions over the unlabeled rows."""
     rng = np.random.default_rng(5)
     model = make_lr(rng.normal(size=(3, 4)))
     X = rng.normal(size=(10, 3))
-    want = lr_predict_proba(model, X).mean(axis=0)
-    assert np.allclose(empirical_label_distribution(model, X), want, atol=1e-12)
+    target = rng.dirichlet(np.ones(3))
+    value, _ = penalty_value_grad(model.weights, X, None, target)
+    want = kl_penalty(target, lr_predict_proba(model, X).mean(axis=0))
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_beta_shifts_empirical_distribution():
-    model = make_lr(np.zeros((2, 3)))
+    """Multipliers (9, 1) on zero weights make the mean prediction (0.9, 0.1)."""
     X = np.zeros((4, 2))
     beta = np.tile([9.0, 1.0], (4, 1))
-    got = empirical_label_distribution(model, X, beta=beta)
-    assert np.allclose(got, [0.9, 0.1], atol=1e-12)
+    at_target, _ = penalty_value_grad(np.zeros((2, 3)), X, beta, np.array([0.9, 0.1]))
+    assert at_target == pytest.approx(0.0, abs=1e-12)
+    uniform, _ = penalty_value_grad(np.zeros((2, 3)), X, beta, np.array([0.5, 0.5]))
+    want = kl_penalty(np.array([0.5, 0.5]), np.array([0.9, 0.1]))
+    assert uniform == pytest.approx(want, abs=1e-12)
 
 
 def test_beta_row_scaling_is_irrelevant():
     """Multiplying a row's multipliers by a constant changes nothing."""
     rng = np.random.default_rng(11)
-    model = make_lr(rng.normal(size=(3, 5)))
+    weights = rng.normal(size=(3, 5))
     X = rng.normal(size=(8, 4))
     beta = rng.uniform(0.5, 2.0, size=(8, 3))
     scaled = beta * rng.uniform(0.1, 10.0, size=(8, 1))
-    a = empirical_label_distribution(model, X, beta=beta)
-    b = empirical_label_distribution(model, X, beta=scaled)
-    assert np.allclose(a, b, atol=1e-12)
+    target = rng.dirichlet(np.ones(3))
+    value_a, grad_a = penalty_value_grad(weights, X, beta, target)
+    value_b, grad_b = penalty_value_grad(weights, X, scaled, target)
+    assert value_a == pytest.approx(value_b, abs=1e-12)
+    assert np.allclose(grad_a, grad_b, atol=1e-12)
 
 
 def _fd_gradient(weights, X, beta, target, h=1e-6):
-    """Central finite differences of the penalty in every coordinate."""
+    """Central finite differences of the penalty value in every coordinate."""
     fd = np.zeros_like(weights)
     for i in range(weights.shape[0]):
         for j in range(weights.shape[1]):
             for sign in (+1, -1):
                 w = weights.copy()
                 w[i, j] += sign * h
-                val = kl_penalty(
-                    target, empirical_label_distribution(make_lr(w), X, beta=beta)
-                )
-                fd[i, j] += sign * val
+                fd[i, j] += sign * penalty_value_grad(w, X, beta, target)[0]
     return fd / (2 * h)
 
 
@@ -347,7 +371,7 @@ def test_label_reg_gradient_matches_finite_differences():
         X = rng.normal(size=(20, 5))
         beta = rng.uniform(0.5, 2.0, size=(20, 3))
         target = rng.dirichlet(np.ones(3) * 5.0)
-        analytic = label_reg_gradient(make_lr(weights), X, beta, target)
+        _, analytic = penalty_value_grad(weights, X, beta, target)
         fd = _fd_gradient(weights, X, beta, target)
         rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-5
@@ -389,7 +413,7 @@ def test_penalty_weight_pulls_mean_prediction_toward_target():
     for lam in (0.0, 5.0, 500.0):
         cfg = LabelRegConfig(target_dist=target, lam=lam)
         model = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
-        emp = empirical_label_distribution(model, Xu, beta=beta_u)
+        emp = mean_prediction(model.weights, Xu, beta_u)
         gaps.append(kl_penalty(target, emp))
     assert gaps[2] <= gaps[1] + 1e-9
     assert gaps[1] <= gaps[0] + 1e-9
@@ -556,9 +580,7 @@ def _penalized_objective(weights, train, kwargs):
     log_beta = None
     if kwargs.get("beta_weighted_likelihood", True):
         log_beta = np.log(kwargs["known_beta"])
-    mean_pred = empirical_label_distribution(
-        make_lr(weights), kwargs["unlabeled_features"], beta=kwargs["unlabeled_beta"]
-    )
+    mean_pred = mean_prediction(weights, kwargs["unlabeled_features"], kwargs["unlabeled_beta"])
     kl = kl_penalty(cfg.target_dist, mean_pred, cfg.epsilon_floor)
     return (log_likelihood(kwargs["known_features"], kwargs["known_labels"], log_beta)
             - gaussian - cfg.lam * kl)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import hybridcc.harness as harness
+import hybridcc.learning as learning
 from hybridcc.classifiers import LabelRegConfig, lr_train, lr_train_label_reg, nb_relational_train
+from hybridcc.data import prepare_dataset
 from hybridcc.graph import DataGraph, LabelState
 from hybridcc.harness import (
     ConfigError,
@@ -261,8 +263,6 @@ def test_cv_alpha_skipped_without_nb(monkeypatch):
 
 
 def test_cv_returns_values_from_the_grids(small_dataset):
-    from hybridcc.data import prepare_dataset
-
     nodes, edges = small_dataset
     prepared = prepare_dataset(nodes, edges)
     g, truth = prepared.graph, prepared.truth
@@ -363,6 +363,60 @@ def test_tuning_error_fails_every_classifier_cell_of_the_trial(small_dataset, tm
         assert r.sigma_sq is None and r.nb_alpha is None
     relat = [r for r in results if r.variant == "relat-only"]
     assert len(relat) == 2 and all(r.status == "ok" and r.accuracy is not None for r in relat)
+
+
+@pytest.mark.parametrize("stage", ["cross_validate_hyperparams", "fit_attribute_only"])
+def test_failing_trial_setup_runs_once_per_trial(small_dataset, tmp_path, monkeypatch, stage):
+    """Tuning and the attribute-only fit run once per trial, before its
+    cells; an error in either fails every classifier cell of the trial with
+    its note and is not retried, and relat-only cells still score."""
+    calls = []
+
+    def broken(*a, **k):
+        calls.append(a)
+        raise RuntimeError(f"{stage} failed")
+
+    monkeypatch.setattr(harness, stage, broken)
+    config = tiny_config(
+        small_dataset, tmp_path, trials=2,
+        variants=("known-onepass", "no-ssl", "attr-only", "relat-only"),
+        classifiers=("lr", "lr+nb"),
+    )
+    results = run_experiment(config)
+    assert len(calls) == config.trials
+    classifier_cells = [r for r in results if r.variant != "relat-only"]
+    assert len(classifier_cells) == 12
+    for r in classifier_cells:
+        assert (r.status, r.note, r.accuracy) == ("error", f"RuntimeError: {stage} failed", None)
+    relat = [r for r in results if r.variant == "relat-only"]
+    assert len(relat) == 2 and all(r.status == "ok" and r.accuracy is not None for r in relat)
+
+
+def test_one_attribute_only_fit_per_trial(small_dataset, tmp_path, monkeypatch):
+    """Every cell of a trial receives one attribute-only model fitted on the
+    trial's known rows: attr-only, the no-ssl and known-* hybrids, and the
+    start state of every learner. The alpha probe fits its own per fold,
+    on fewer rows."""
+    nodes, edges = small_dataset
+    graph = prepare_dataset(nodes, edges).graph
+    known_rows = (sample_known(graph, 0.1, 0).size, graph.attributes.shape[1])
+    shapes = []
+    real = learning.lr_train
+
+    def spy(features, labels, sigma_sq, **kwargs):
+        shapes.append(np.shape(features))
+        return real(features, labels, sigma_sq, **kwargs)
+
+    monkeypatch.setattr(learning, "lr_train", spy)
+    config = tiny_config(
+        small_dataset, tmp_path, trials=2,
+        variants=("known-em", "no-ssl", "attr-only", "all-em"),
+        classifiers=("lr+nb", "lr+lr", "lr", "lr+nb+reg"),
+        sigma_grid=(0.1, 1.0), alpha_grid=(0.5, 2.0),
+    )
+    results = run_experiment(config)
+    assert all(r.status == "ok" for r in results)
+    assert shapes.count(known_rows) == config.trials
 
 
 def test_pick_best_breaks_ties_toward_smaller_values():
@@ -499,10 +553,10 @@ def test_run_experiment_records_tuned_hyperparams(small_dataset, tmp_path):
 def test_run_experiment_isolates_cell_failures(small_dataset, tmp_path, monkeypatch):
     real = harness._run_cell
 
-    def flaky(variant, spec, trial_graph, ica_iterations, em_iterations):
+    def flaky(variant, *args):
         if variant == "known-onepass":
             raise RuntimeError("injected\nfailure")
-        return real(variant, spec, trial_graph, ica_iterations, em_iterations)
+        return real(variant, *args)
 
     monkeypatch.setattr(harness, "_run_cell", flaky)
     cfg = tiny_config(small_dataset, tmp_path)

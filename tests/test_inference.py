@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from hybridcc.graph import DataGraph, LabelState, compute_proportion_features
 from hybridcc.inference import ica, iterate, wvrn_rl
-from hybridcc.learning import ClassifierSpec, attr_only, ssl_learn, variant_from_name
+from hybridcc.learning import (
+    ClassifierSpec,
+    attr_only,
+    fit_attribute_only,
+    ssl_learn,
+    variant_from_name,
+)
 from hybridcc.synthetic import synthetic_graph
 from reference_loops import first_repeat_period
 
@@ -25,6 +31,10 @@ def sparsely_label(graph, truth, k=6, seed=1):
     return graph.with_known_labels({int(i): int(truth[i]) for i in picks})
 
 
+def attribute_only_start(graph):
+    return attr_only(graph, fit_attribute_only(graph, 1.0))
+
+
 class UniformNodeModel:
     """Ignores all features; used to pin down tie-breaking."""
 
@@ -34,17 +44,15 @@ class UniformNodeModel:
         self.n_classes = n_classes
 
     def given_attributes(self, attributes):
-        return lambda relational: self.predict_proba(attributes, relational)
-
-    def predict_proba(self, attributes, relational):
-        return np.full((attributes.shape[0], self.n_classes), 1.0 / self.n_classes)
+        uniform = np.full((attributes.shape[0], self.n_classes), 1.0 / self.n_classes)
+        return lambda relational: uniform
 
 
 def test_ica_config_validation():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
     with pytest.raises(ValueError, match="iterations"):
-        ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2), iterations=0)
+        ica(tg, attribute_only_start(tg), UniformNodeModel(2), iterations=0)
 
 
 def test_wvrn_config_validation():
@@ -59,7 +67,7 @@ def test_wvrn_config_validation():
 def test_ica_keeps_known_labels_fixed():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
-    state = ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2))
+    state = ica(tg, attribute_only_start(tg), UniformNodeModel(2))
     for node, cls_idx in tg.known_labels.items():
         assert state.labels[node] == cls_idx
     assert np.all(state.labels >= 0)
@@ -70,7 +78,7 @@ def test_ica_leaves_its_start_state_unchanged():
     attribute-only state, so ica must not write into it."""
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
-    start = attr_only(tg, ClassifierSpec("lr"))
+    start = attribute_only_start(tg)
     before = start.labels.copy()
     state = ica(tg, start, UniformNodeModel(2), iterations=3)
     assert not np.array_equal(state.labels, before)  # the rounds did relabel
@@ -82,8 +90,9 @@ def test_ica_is_deterministic():
     tg = sparsely_label(graph, truth)
     spec = ClassifierSpec("lr+lr")
     variant = variant_from_name("known-onepass")
-    a = ssl_learn(tg, variant, spec)
-    b = ssl_learn(tg, variant, spec)
+    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    a = ssl_learn(tg, variant, spec, m_a)
+    b = ssl_learn(tg, variant, spec, m_a)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -91,7 +100,7 @@ def test_ica_ties_break_to_lowest_index():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
     # a constant node model produces exact ties everywhere: all class 0
-    state = ica(tg, attr_only(tg, ClassifierSpec("lr")), UniformNodeModel(2))
+    state = ica(tg, attribute_only_start(tg), UniformNodeModel(2))
     assert np.all(state.labels[tg.unknown_nodes] == 0)
 
 
@@ -144,7 +153,7 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
                 graph, LabelState.from_graph(graph), within=graph.known_mask()
             )
             zero_rows += int(np.sum(~masked.any(axis=1)))
-        start = attr_only(graph, spec)
+        start = attr_only(graph, fit_attribute_only(graph, spec.sigma_sq))
         for node_model, history in ica_runs:
             assert np.array_equal(start.labels, history[0])
             state = ica(graph, start, node_model, iterations=len(history) - 1)

@@ -13,6 +13,7 @@ from hybridcc.learning import (
     ClassifierSpec,
     SslVariant,
     attr_only,
+    fit_attribute_only,
     no_ssl,
     ssl_learn,
     variant_from_name,
@@ -55,9 +56,10 @@ def test_spec_autofills_reg_settings_only_for_reg_kinds(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(learning, "lr_train_label_reg", spy)
+    m_a = fit_attribute_only(tg, 1.0)
     for kind in CLASSIFIER_KINDS:
         configs.clear()
-        ssl_learn(tg, variant_from_name("known-onepass"), ClassifierSpec(kind))
+        ssl_learn(tg, variant_from_name("known-onepass"), ClassifierSpec(kind), m_a)
         if not ClassifierSpec(kind).regularized:
             assert configs == [], kind
             continue
@@ -82,10 +84,11 @@ def test_spec_predicates_and_stripping():
 
 def test_every_kind_runs_under_every_variant():
     tg, truth = labeled_graph(n=50, k=6)
+    m_a = fit_attribute_only(tg, 1.0)
     for name in SSL_VARIANT_NAMES:
         variant = variant_from_name(name, em_iterations=2)
         for kind in CLASSIFIER_KINDS:
-            state = ssl_learn(tg, variant, ClassifierSpec(kind))
+            state = ssl_learn(tg, variant, ClassifierSpec(kind), m_a)
             assert np.all(state.labels >= 0)
             for node, cls_idx in tg.known_labels.items():
                 assert state.labels[node] == cls_idx
@@ -93,20 +96,22 @@ def test_every_kind_runs_under_every_variant():
 
 def test_onepass_equals_single_iteration_em():
     tg, _ = labeled_graph(n=60, k=6, seed=4)
+    m_a = fit_attribute_only(tg, 1.0)
     for kind in CLASSIFIER_KINDS:
         spec = ClassifierSpec(kind)
         for family in ("all", "known"):
-            one = ssl_learn(tg, variant_from_name(f"{family}-onepass"), spec)
-            em1 = ssl_learn(tg, variant_from_name(f"{family}-em", em_iterations=1), spec)
+            one = ssl_learn(tg, variant_from_name(f"{family}-onepass"), spec, m_a)
+            em1 = ssl_learn(tg, variant_from_name(f"{family}-em", em_iterations=1), spec, m_a)
             assert np.array_equal(one.labels, em1.labels), (kind, family)
 
 
 def test_learn_from_all_trains_on_every_node():
     tg, _ = labeled_graph(n=60, k=6, seed=2)
     diag_all, diag_known = {}, {}
-    ssl_learn(tg, variant_from_name("all-em", em_iterations=3), ClassifierSpec("lr+lr"),
+    m_a = fit_attribute_only(tg, 1.0)
+    ssl_learn(tg, variant_from_name("all-em", em_iterations=3), ClassifierSpec("lr+lr"), m_a,
               diagnostics=diag_all)
-    ssl_learn(tg, variant_from_name("known-em", em_iterations=3), ClassifierSpec("lr+lr"),
+    ssl_learn(tg, variant_from_name("known-em", em_iterations=3), ClassifierSpec("lr+lr"), m_a,
               diagnostics=diag_known)
     # one entry per fit actually run: EM stops at the first repeated labeling
     assert 1 <= len(diag_all["train_sizes"]) <= 3
@@ -120,10 +125,11 @@ def test_em_stops_early_with_the_full_budget_labeling(full_budget_runs):
     fixed points and 2-cycles."""
     periods = Counter()
     for graph, variant, spec, history, _ in full_budget_runs:
+        m_a = fit_attribute_only(graph, spec.sigma_sq)
         if variant is None:
-            state = no_ssl(graph, spec, ica_iterations=10)
+            state = no_ssl(graph, spec, m_a, ica_iterations=10)
         else:
-            state = ssl_learn(graph, variant, spec, ica_iterations=10)
+            state = ssl_learn(graph, variant, spec, m_a, ica_iterations=10)
         assert np.array_equal(state.labels, history[-1]), (spec.kind, variant)
         periods[first_repeat_period(history)] += 1
     assert periods[1] > 0 and periods[2] > 0, periods
@@ -133,8 +139,9 @@ def test_iterations_refresh_the_labeling():
     """EM must be able to move labels after the first pass."""
     tg, _ = labeled_graph(n=80, k=5, seed=6, noise=1.2)
     spec = ClassifierSpec("lr+lr")
-    one = ssl_learn(tg, variant_from_name("all-onepass"), spec)
-    em = ssl_learn(tg, variant_from_name("all-em"), spec)
+    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    one = ssl_learn(tg, variant_from_name("all-onepass"), spec, m_a)
+    em = ssl_learn(tg, variant_from_name("all-em"), spec, m_a)
     # not an invariant for every instance, but for this fixed one the
     # refit moves at least one unknown node
     assert not np.array_equal(one.labels, em.labels)
@@ -144,23 +151,27 @@ def test_ssl_learn_with_no_unknowns_returns_known_state():
     edges = [(0, 1), (1, 2)]
     g = DataGraph.build(edges, np.zeros((3, 2)), ("a", "b"),
                         known_labels={0: 0, 1: 1, 2: 0})
-    state = ssl_learn(g, variant_from_name("all-em"), ClassifierSpec("lr"))
+    state = ssl_learn(g, variant_from_name("all-em"), ClassifierSpec("lr"),
+                      fit_attribute_only(g, 1.0))
     assert state.labels.tolist() == [0, 1, 0]
 
 
 def test_ssl_learn_requires_a_known_node():
+    """The attribute-only model every learner needs cannot be fitted."""
     edges = [(0, 1)]
     g = DataGraph.build(edges, np.zeros((2, 2)), ("a", "b"))
-    with pytest.raises(ValueError):
-        ssl_learn(g, variant_from_name("all-em"), ClassifierSpec("lr"))
+    with pytest.raises(ValueError, match="at least one known label"):
+        ssl_learn(g, variant_from_name("all-em"), ClassifierSpec("lr"),
+                  fit_attribute_only(g, 1.0))
 
 
 def test_ica_iteration_count_is_configurable():
     tg, _ = labeled_graph(n=60, k=6, seed=8, noise=1.2)
     spec = ClassifierSpec("lr+nb")
     variant = variant_from_name("known-onepass")
-    a = ssl_learn(tg, variant, spec, ica_iterations=1)
-    b = ssl_learn(tg, variant, spec, ica_iterations=10)
+    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    a = ssl_learn(tg, variant, spec, m_a, ica_iterations=1)
+    b = ssl_learn(tg, variant, spec, m_a, ica_iterations=10)
     # fixed instance chosen so the extra inference rounds matter
     assert not np.array_equal(a.labels, b.labels)
 
@@ -188,13 +199,51 @@ def test_one_attribute_only_prediction_per_learner_call(monkeypatch, kind):
     tg, _ = labeled_graph(n=60, k=6, seed=2)
     calls = count_attribute_only_predictions(monkeypatch)
     diag = {}
-    ssl_learn(tg, variant_from_name("all-em", em_iterations=5), ClassifierSpec(kind),
+    m_a = fit_attribute_only(tg, 1.0)
+    ssl_learn(tg, variant_from_name("all-em", em_iterations=5), ClassifierSpec(kind), m_a,
               diagnostics=diag)
     assert len(diag["train_sizes"]) >= 2  # several EM iterations, each with an ICA pass
     assert len(calls) == 1
     calls.clear()
-    no_ssl(tg, ClassifierSpec(kind))
+    no_ssl(tg, ClassifierSpec(kind), m_a)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["lr+lr", "lr+nb", "lr+lr+reg", "lr+nb+reg"])
+def test_known_trained_unregularized_hybrids_share_the_attribute_model(monkeypatch, kind):
+    """The passed attribute-only model is the attribute member of every
+    hybrid trained on the known nodes without label regularization
+    (known-* and no_ssl, which strips +reg); all-* and +reg hybrids fit
+    their own attribute member every iteration."""
+    tg, _ = labeled_graph(n=60, k=6, seed=2)
+    m_a = fit_attribute_only(tg, 1.0)
+    members = []
+    real = learning.ica
+
+    def spy(graph, start, node_model, iterations):
+        members.append(node_model.attribute_model)
+        return real(graph, start, node_model, iterations)
+
+    monkeypatch.setattr(learning, "ica", spy)
+    spec = ClassifierSpec(kind)
+    for name in SSL_VARIANT_NAMES:
+        members.clear()
+        ssl_learn(tg, variant_from_name(name, em_iterations=3), spec, m_a)
+        shared = name.startswith("known") and not spec.regularized
+        assert members and all((m is m_a) == shared for m in members), name
+    members.clear()
+    no_ssl(tg, spec, m_a)
+    assert len(members) == 1 and members[0] is m_a
+
+
+def test_attribute_model_under_another_sigma_sq_is_rejected():
+    tg, _ = labeled_graph(n=40, k=6, seed=5)
+    m_a = fit_attribute_only(tg, 1.0)
+    spec = ClassifierSpec("lr+nb", sigma_sq=10.0)
+    with pytest.raises(ValueError, match="sigma_sq"):
+        ssl_learn(tg, variant_from_name("known-onepass"), spec, m_a)
+    with pytest.raises(ValueError, match="sigma_sq"):
+        no_ssl(tg, spec, m_a)
 
 
 # -------------------------------------------------------------- baselines
@@ -202,34 +251,35 @@ def test_one_attribute_only_prediction_per_learner_call(monkeypatch, kind):
 
 def test_no_ssl_strips_label_regularization():
     tg, _ = labeled_graph(n=50, k=6, seed=3)
-    reg = no_ssl(tg, ClassifierSpec("lr+nb+reg"))
-    bare = no_ssl(tg, ClassifierSpec("lr+nb"))
+    m_a = fit_attribute_only(tg, 1.0)
+    reg = no_ssl(tg, ClassifierSpec("lr+nb+reg"), m_a)
+    bare = no_ssl(tg, ClassifierSpec("lr+nb"), m_a)
     assert np.array_equal(reg.labels, bare.labels)
 
 
 def test_no_ssl_trains_on_known_with_restricted_neighbors():
     tg, _ = labeled_graph(n=50, k=6, seed=3)
     diag = {}
-    no_ssl(tg, ClassifierSpec("lr+lr"), diagnostics=diag)
+    no_ssl(tg, ClassifierSpec("lr+lr"), fit_attribute_only(tg, 1.0), diagnostics=diag)
     assert diag["train_sizes"] == [6]
 
 
 def test_attr_only_ignores_edges():
     """Rewiring the graph cannot change attribute-only output."""
     tg, _ = labeled_graph(n=40, k=8, seed=5)
-    state = attr_only(tg, ClassifierSpec("lr"))
+    state = attr_only(tg, fit_attribute_only(tg, 1.0))
     rng = np.random.default_rng(0)
     perm = rng.permutation(40)
     rewired = [(int(perm[i]), int(perm[(i + 1) % 40])) for i in range(40)]
     g2 = DataGraph.build(rewired, tg.attributes, tg.label_domain, dict(tg.known_labels))
-    state2 = attr_only(g2, ClassifierSpec("lr"))
+    state2 = attr_only(g2, fit_attribute_only(g2, 1.0))
     assert np.array_equal(state.labels, state2.labels)
 
 
 def test_attr_only_is_deterministic():
     tg, _ = labeled_graph(n=40, k=8, seed=7)
-    a = attr_only(tg, ClassifierSpec("lr"))
-    b = attr_only(tg, ClassifierSpec("lr"))
+    a = attr_only(tg, fit_attribute_only(tg, 1.0))
+    b = attr_only(tg, fit_attribute_only(tg, 1.0))
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -237,8 +287,9 @@ def test_collective_methods_beat_attributes_on_strong_homophily():
     """Sanity direction check on one easy instance, not a theorem."""
     tg, truth = labeled_graph(n=100, k=10, seed=9, homophily=0.95, noise=1.5)
     unknown = tg.unknown_nodes
-    em = ssl_learn(tg, variant_from_name("all-em"), ClassifierSpec("lr+nb"))
-    base = attr_only(tg, ClassifierSpec("lr"))
+    m_a = fit_attribute_only(tg, 1.0)
+    em = ssl_learn(tg, variant_from_name("all-em"), ClassifierSpec("lr+nb"), m_a)
+    base = attr_only(tg, m_a)
     acc = lambda s: float(np.mean(s.labels[unknown] == truth[unknown]))
     assert acc(em) >= acc(base)
 
