@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import minimize
@@ -42,7 +43,8 @@ __all__ = [
     "lr_train_label_reg",
 ]
 
-MAX_ITER_DEFAULT = 500
+MAX_ITER = 500
+EPSILON_FLOOR = 1e-10
 
 
 class ConvergenceWarning(UserWarning):
@@ -97,13 +99,14 @@ class LabelRegConfig:
     prediction over unlabeled nodes should resemble; it must be proper with
     strictly positive entries. ``lam`` weighs the penalty against the data
     likelihood (the classic choice is 10x the number of supervised nodes).
-    ``epsilon_floor`` guards the divisions by the model's average predicted
-    probability early in training.
+    ``epsilon_floor``, the constant ``EPSILON_FLOOR`` rather than a field,
+    guards the divisions by the model's average predicted probability
+    early in training.
     """
 
     target_dist: np.ndarray
     lam: float
-    epsilon_floor: float = 1e-10
+    epsilon_floor: ClassVar[float] = EPSILON_FLOOR
 
     def __post_init__(self):
         target = np.asarray(self.target_dist, dtype=float)
@@ -113,8 +116,6 @@ class LabelRegConfig:
             raise ValueError("target_dist must be strictly positive and sum to 1")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.epsilon_floor <= 0:
-            raise ValueError("epsilon_floor must be > 0")
         object.__setattr__(self, "target_dist", target)
 
 
@@ -159,7 +160,7 @@ def _log_beta_of(beta, n, n_classes, name):
     return np.log(beta)
 
 
-def _fit(Xb, labels, n_classes, sigma_sq, max_iter, name, log_beta=None, penalty=None):
+def _fit(Xb, labels, n_classes, sigma_sq, name, log_beta=None, penalty=None):
     """Maximize the penalized log likelihood with L-BFGS from zero weights.
 
     The objective is ``sum_i log p(y_i | x_i) - ||w||^2 / (2 sigma_sq)``
@@ -167,9 +168,10 @@ def _fit(Xb, labels, n_classes, sigma_sq, max_iter, name, log_beta=None, penalty
     the likelihood's logits. ``penalty = (Xb_unl, log_beta_unl, config)``
     further subtracts ``config.lam`` times the label-regularization
     penalty over the unlabeled rows. The fit counts as converged unless
-    the iteration cap stopped it, in which case a ``ConvergenceWarning``
-    naming ``name`` is emitted; a line search that finds no better point
-    means the objective has stalled, which counts as converged.
+    the iteration cap ``MAX_ITER`` stopped it, in which case a
+    ``ConvergenceWarning`` naming ``name`` is emitted; a line search that
+    finds no better point means the objective has stalled, which counts as
+    converged.
     """
     rows = np.arange(labels.size)
     onehot = np.zeros((labels.size, n_classes))
@@ -185,9 +187,7 @@ def _fit(Xb, labels, n_classes, sigma_sq, max_iter, name, log_beta=None, penalty
         grad[:, :-1] -= theta[:, :-1] / sigma_sq
         if penalty is not None:
             Xb_unl, log_beta_unl, config = penalty
-            kl, kl_grad = _label_reg_value_grad(
-                theta, Xb_unl, log_beta_unl, config.target_dist, config.epsilon_floor
-            )
+            kl, kl_grad = _label_reg_value_grad(theta, Xb_unl, log_beta_unl, config.target_dist)
             value -= config.lam * kl
             grad -= config.lam * kl_grad
         return -value, -grad.ravel()
@@ -197,7 +197,7 @@ def _fit(Xb, labels, n_classes, sigma_sq, max_iter, name, log_beta=None, penalty
     # holds these to the optima the earlier gradient ascent reached.
     result = minimize(
         negated, np.zeros(shape).ravel(), jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-6},
+        options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": 1e-6},
     )
     converged = result.status != 1
     if not converged:
@@ -224,15 +224,14 @@ def _resolve_n_classes(labels, n_classes):
     return labels, n_classes
 
 
-def lr_train(features, labels, sigma_sq, n_classes=None,
-             max_iter=MAX_ITER_DEFAULT) -> LRModel:
+def lr_train(features, labels, sigma_sq, n_classes=None) -> LRModel:
     """Fit multinomial logistic regression under a Gaussian prior.
 
     Maximizes ``sum_i log p(y_i | x_i) - ||w||^2 / (2 sigma_sq)`` where the
     bias column is excluded from the penalty. Training is deterministic:
     weights start at zero and L-BFGS has no random component. If the
-    iteration cap is reached a ``ConvergenceWarning`` is emitted and the
-    last iterate is returned.
+    iteration cap ``MAX_ITER`` is reached a ``ConvergenceWarning`` is
+    emitted and the last iterate is returned.
     """
     X = _check_features(features)
     labels, n_classes = _resolve_n_classes(labels, n_classes)
@@ -240,7 +239,7 @@ def lr_train(features, labels, sigma_sq, n_classes=None,
         raise ValueError("features and labels disagree on the number of rows")
     if not 0 < sigma_sq < np.inf:
         raise ValueError("sigma_sq must be positive and finite")
-    return _fit(_with_bias(X), labels, n_classes, sigma_sq, max_iter, "logistic regression")
+    return _fit(_with_bias(X), labels, n_classes, sigma_sq, "logistic regression")
 
 
 def _lr_log_proba(model: LRModel, X) -> np.ndarray:
@@ -401,22 +400,22 @@ class ConcatLRModel:
         )
 
 
-def kl_penalty(target, empirical, epsilon_floor=1e-10) -> float:
+def kl_penalty(target, empirical) -> float:
     """KL divergence of the floored empirical distribution from the target.
 
-    ``sum_y target_y log(target_y / max(empirical_y, epsilon_floor))``;
+    ``sum_y target_y log(target_y / max(empirical_y, EPSILON_FLOOR))``;
     non-negative, and zero exactly when the two distributions agree.
     """
     target = np.asarray(target, dtype=float)
     empirical = np.asarray(empirical, dtype=float)
     if target.shape != empirical.shape:
         raise ValueError("distribution shapes disagree")
-    floored = np.maximum(empirical, epsilon_floor)
+    floored = np.maximum(empirical, EPSILON_FLOOR)
     pos = target > 0
     return float(np.sum(target[pos] * np.log(target[pos] / floored[pos])))
 
 
-def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target, epsilon_floor):
+def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target):
     """Penalty value and its gradient with respect to every weight.
 
     With ``r_y = target_y / mean-prediction_y`` (floored), the gradient of
@@ -428,8 +427,8 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target, epsilon_floor):
     """
     P = np.exp(_log_proba(weights, Xb_unl, log_beta_unl))
     mean_pred = P.mean(axis=0)
-    value = kl_penalty(target, mean_pred, epsilon_floor)
-    ratios = target / np.maximum(mean_pred, epsilon_floor)
+    value = kl_penalty(target, mean_pred)
+    ratios = target / np.maximum(mean_pred, EPSILON_FLOOR)
     row_mix = P @ ratios
     weighted = P * (row_mix[:, None] - ratios[None, :])
     grad = (weighted.T @ Xb_unl) / Xb_unl.shape[0]
@@ -439,8 +438,7 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target, epsilon_floor):
 def lr_train_label_reg(known_features, known_labels, known_beta,
                        unlabeled_features, unlabeled_beta,
                        config: LabelRegConfig, sigma_sq, n_classes=None,
-                       beta_weighted_likelihood=True,
-                       max_iter=MAX_ITER_DEFAULT) -> LRModel:
+                       beta_weighted_likelihood=True) -> LRModel:
     """Fit label-regularized logistic regression.
 
     Maximizes the supervised log likelihood minus the Gaussian penalty
@@ -450,7 +448,8 @@ def lr_train_label_reg(known_features, known_labels, known_beta,
     model and stay frozen for the whole optimization. By default the
     supervised term uses the same beta-weighted prediction as the penalty
     term; ``beta_weighted_likelihood=False`` switches the supervised term
-    to the plain softmax.
+    to the plain softmax. Like ``lr_train``, it stops at the iteration cap
+    ``MAX_ITER``.
     """
     Xk = _check_features(known_features, "known features")
     Xu = _check_features(unlabeled_features, "unlabeled features")
@@ -470,6 +469,6 @@ def lr_train_label_reg(known_features, known_labels, known_beta,
     log_beta_u = _log_beta_of(unlabeled_beta, Xu.shape[0], n_classes, "unlabeled beta")
     penalty = (_with_bias(Xu), log_beta_u, config) if config.lam > 0 else None
     return _fit(
-        _with_bias(Xk), labels, n_classes, sigma_sq, max_iter, "label-regularized training",
+        _with_bias(Xk), labels, n_classes, sigma_sq, "label-regularized training",
         log_beta=log_beta_k if beta_weighted_likelihood else None, penalty=penalty,
     )

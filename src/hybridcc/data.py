@@ -1,6 +1,7 @@
 """Dataset files, preprocessing, and assembly into a ready-to-use graph.
 
-File formats (UTF-8, LF, ``#`` comment lines ignored):
+File formats (UTF-8 with or without a byte-order mark, LF, ``#`` comment
+lines ignored):
 
 * node file: tab-separated, one row per node, ``id<TAB>label<TAB>v1...``.
   The first non-comment row is a header whose attribute cells declare each
@@ -88,7 +89,7 @@ class RawDataset:
 def _data_rows(path):
     """Yield (line_number, stripped_line) skipping blanks and comments."""
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with handle:
@@ -170,8 +171,10 @@ def load_dataset(node_path, edge_path) -> RawDataset:
             raise DataError(f"{edge_path}: line {lineno}: expected 2 tab-separated ids")
         try:
             a, b = index[cells[0]], index[cells[1]]
-        except KeyError:
-            raise DataError(f"{edge_path}: unknown node id at line {lineno}") from None
+        except KeyError as exc:
+            raise DataError(
+                f"{edge_path}: unknown node id at line {lineno}: {exc.args[0]!r}"
+            ) from None
         if a == b:
             continue
         keys.append(a * n + b if a < b else b * n + a)

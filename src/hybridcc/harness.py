@@ -169,14 +169,15 @@ def parse_config_file(path) -> ExperimentConfig:
 
     Keys are exactly the config field names, and each value is parsed by
     the type of its field's default (see ``_value_parser``). List values
-    are comma-separated. Blank lines and ``#`` comment lines are ignored.
+    are comma-separated. Blank lines, ``#`` comment lines and a leading
+    UTF-8 byte-order mark are ignored.
     Unknown or repeated keys, unparsable values, and missing required paths
     raise ``ConfigError`` naming the line.
     """
     parsers = {f.name: _value_parser(f) for f in fields(ExperimentConfig)}
     values = {}
     try:
-        handle = open(path, encoding="utf-8")
+        handle = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     with handle:
@@ -408,13 +409,13 @@ def _two_sided_p(t, df) -> float:
     return float(2.0 * special.stdtr(df, -abs(t)))
 
 
-def degenerate_flag(state: LabelState, test_nodes, target,
-                    share_threshold=0.9, target_threshold=0.5) -> bool:
+def degenerate_flag(state: LabelState, test_nodes, target) -> bool:
     """Did predictions pile onto one class the target says is a minority?
 
-    True when a single class takes more than ``share_threshold`` of the
-    test-node predictions while ``target`` gives it less than
-    ``target_threshold``.
+    True when a single class takes more than 0.9 of the test-node
+    predictions while ``target`` gives it less than 0.5. Both bounds are
+    strict: a share of exactly 0.9, or a target of exactly 0.5, is not
+    flagged.
     """
     test_nodes = np.asarray(test_nodes, dtype=np.int64)
     if test_nodes.size == 0:
@@ -423,7 +424,7 @@ def degenerate_flag(state: LabelState, test_nodes, target,
     counts = np.bincount(state.labels[test_nodes], minlength=state.n_classes)
     top = int(np.argmax(counts))
     share = counts[top] / test_nodes.size
-    return bool(share > share_threshold and target[top] < target_threshold)
+    return bool(share > 0.9 and target[top] < 0.5)
 
 
 def _combos(config: ExperimentConfig):

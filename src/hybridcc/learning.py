@@ -146,7 +146,7 @@ class ClassifierSpec:
 
 
 def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
-                      neighbor_mask=None, diagnostics=None):
+                      neighbor_mask=None):
     """Step-5 training: fit the node classifier on every node or on the
     known nodes, per ``learn_from_all``.
 
@@ -164,8 +164,6 @@ def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
     labels = state.labels[train_nodes]
     if labels.size == 0 or labels.min() < 0:
         raise ValueError("training nodes must all carry labels")
-    if diagnostics is not None:
-        diagnostics.setdefault("train_sizes", []).append(int(train_nodes.size))
 
     compute_features = compute_multiset_features if spec.uses_nb else compute_proportion_features
     features = compute_features(graph, state, within=neighbor_mask)
@@ -180,8 +178,6 @@ def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
         rel_model = nb_relational_train(
             features[train_nodes], labels, spec.nb_alpha, n_classes=c
         )
-        if rel_model.missing_classes and diagnostics is not None:
-            diagnostics.setdefault("nb_missing_classes", []).append(rel_model.missing_classes)
     else:
         rel_model = lr_train(
             features[train_nodes], labels, spec.sigma_sq, n_classes=c
@@ -216,8 +212,7 @@ def fit_attribute_only(graph: DataGraph, sigma_sq: float) -> LRModel:
 
 
 def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
-              attr_model: LRModel, *, ica_iterations: int = 10,
-              diagnostics: dict | None = None) -> LabelState:
+              attr_model: LRModel, *, ica_iterations: int = 10) -> LabelState:
     """Run the generic semi-supervised loop and return the final labeling.
 
     ``attr_model`` is ``fit_attribute_only(graph, spec.sigma_sq)``; another
@@ -230,8 +225,8 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
     fresh ``ica`` pass of at most ``ica_iterations`` rounds. Every
     iteration is a deterministic function of the incoming labeling, so the
     loop stops at the first repeated labeling and returns the one
-    ``variant.n_iterations`` iterations reach (see ``iterate``).
-    ``diagnostics["train_sizes"]`` gets one entry per fit actually run.
+    ``variant.n_iterations`` iterations reach (see ``iterate``), so it may
+    train fewer node classifiers than ``variant.n_iterations``.
     """
     if attr_model.sigma_sq != spec.sigma_sq:
         raise ValueError("attr_model was fitted under another sigma_sq than spec's")
@@ -242,8 +237,7 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
 
     def em_step(state):
         node_model = _train_node_model(
-            graph, state, spec, attr_model, variant.learn_from_all, prior,
-            diagnostics=diagnostics,
+            graph, state, spec, attr_model, variant.learn_from_all, prior
         )
         return ica(graph, start, node_model, ica_iterations)
 
@@ -251,8 +245,7 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
 
 
 def no_ssl(graph: DataGraph, spec: ClassifierSpec, attr_model: LRModel, *,
-           ica_iterations: int = 10,
-           diagnostics: dict | None = None) -> LabelState:
+           ica_iterations: int = 10) -> LabelState:
     """Train without unlabeled data, then run collective inference once.
 
     The node classifier is fitted on the supervised nodes with relational
@@ -273,7 +266,7 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, attr_model: LRModel, *,
         return start
     node_model = _train_node_model(
         graph, LabelState.from_graph(graph), spec.without_label_reg(), attr_model, False,
-        class_prior(graph), neighbor_mask=graph.known_mask(), diagnostics=diagnostics,
+        class_prior(graph), neighbor_mask=graph.known_mask(),
     )
     return ica(graph, start, node_model, ica_iterations)
 

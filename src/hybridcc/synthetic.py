@@ -73,6 +73,10 @@ def generate_dataset(n_nodes, n_classes, homophily, attr_noise, seed,
         raise ValueError("attr_noise must be >= 0")
     if avg_degree <= 0:
         raise ValueError("avg_degree must be > 0")
+    if attr_dim is None:
+        attr_dim = n_classes
+    if attr_dim < 1:
+        raise ValueError("attr_dim must be >= 1")
 
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n_nodes, dtype=np.int64) % n_classes)
@@ -105,10 +109,6 @@ def generate_dataset(n_nodes, n_classes, homophily, attr_noise, seed,
     ))
     edges = np.stack([keys // n_nodes, keys % n_nodes], axis=1)
 
-    if attr_dim is None:
-        attr_dim = n_classes
-    if attr_dim < 1:
-        raise ValueError("attr_dim must be >= 1")
     centers = np.zeros((n_classes, attr_dim))
     span = min(n_classes, attr_dim)
     centers[:span, :span] = np.eye(span)

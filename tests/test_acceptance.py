@@ -59,9 +59,9 @@ def test_acceptance_1_regularizer_gradient_matches_finite_differences():
         Xb = np.hstack([X, np.ones((20, 1))])
 
         def penalty_at(w):
-            return _label_reg_value_grad(w, Xb, np.log(beta), target, 1e-10)[0]
+            return _label_reg_value_grad(w, Xb, np.log(beta), target)[0]
 
-        _, analytic = _label_reg_value_grad(weights, Xb, np.log(beta), target, 1e-10)
+        _, analytic = _label_reg_value_grad(weights, Xb, np.log(beta), target)
         fd = np.zeros_like(weights)
         for i in range(weights.shape[0]):
             for j in range(weights.shape[1]):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hybridcc import classifiers
 from hybridcc.classifiers import (
     ConcatLRModel,
     ConvergenceWarning,
@@ -46,7 +47,7 @@ def mean_prediction(weights, X, beta=None):
 def penalty_value_grad(weights, X, beta, target):
     """``_label_reg_value_grad`` on feature rows and positive multipliers."""
     log_beta = None if beta is None else np.log(beta)
-    return _label_reg_value_grad(np.asarray(weights), with_bias(X), log_beta, target, 1e-10)
+    return _label_reg_value_grad(np.asarray(weights), with_bias(X), log_beta, target)
 
 
 # ---------------------------------------------------------------- logistic
@@ -77,20 +78,21 @@ def test_lr_regularization_shrinks_weights():
     assert np.linalg.norm(tight.weights[:, :-1]) < np.linalg.norm(loose.weights[:, :-1])
 
 
-def _label_reg_on_same_rows(X, y, sigma_sq, max_iter):
+def _label_reg_on_same_rows(X, y, sigma_sq):
     """Fit through ``lr_train_label_reg``, reusing the rows as the unlabeled set."""
     cfg = LabelRegConfig(target_dist=np.full(2, 0.5), lam=1.0)
-    return lr_train_label_reg(X, y, None, X, None, cfg, sigma_sq, max_iter=max_iter)
+    return lr_train_label_reg(X, y, None, X, None, cfg, sigma_sq)
 
 
 @pytest.mark.parametrize(
     "train", [lr_train, _label_reg_on_same_rows], ids=["lr_train", "label_reg"]
 )
-def test_lr_train_warns_when_iteration_cap_hits(train):
+def test_lr_train_warns_when_iteration_cap_hits(monkeypatch, train):
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
+    monkeypatch.setattr(classifiers, "MAX_ITER", 3)
     with pytest.warns(ConvergenceWarning):
-        model = train(X, y, sigma_sq=1e6, max_iter=3)
+        model = train(X, y, sigma_sq=1e6)
     assert model.converged is False
     assert model.n_iter <= 3
 
@@ -581,7 +583,7 @@ def _penalized_objective(weights, train, kwargs):
     if kwargs.get("beta_weighted_likelihood", True):
         log_beta = np.log(kwargs["known_beta"])
     mean_pred = mean_prediction(weights, kwargs["unlabeled_features"], kwargs["unlabeled_beta"])
-    kl = kl_penalty(cfg.target_dist, mean_pred, cfg.epsilon_floor)
+    kl = kl_penalty(cfg.target_dist, mean_pred)
     return (log_likelihood(kwargs["known_features"], kwargs["known_labels"], log_beta)
             - gaussian - cfg.lam * kl)
 

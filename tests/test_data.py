@@ -37,6 +37,12 @@ def test_load_dataset_happy_path(tmp_path):
     assert list(raw.labels) == ["spam", "ham", "spam"]
     assert raw.schema == ("real", "cat")
     assert raw.edges.tolist() == [[0, 1], [1, 2]]
+    # a UTF-8 byte-order mark at the start of either file is not data
+    for path in (tmp_path / "nodes.tsv", tmp_path / "edges.tsv"):
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    bom = load_dataset(np_, ep)
+    assert (bom.ids, bom.labels, bom.schema) == (raw.ids, raw.labels, raw.schema)
+    assert bom.edges.tolist() == raw.edges.tolist()
 
 
 def test_loader_skips_blanks_and_comments(tmp_path):
@@ -88,7 +94,7 @@ def test_wrong_cell_count_reports_line(tmp_path):
 
 def test_unknown_edge_endpoint_reports_line(tmp_path):
     np_, ep = small_files(tmp_path, edges="n1\tn2\nn9\tn1\n")
-    with pytest.raises(DataError, match="unknown node id at line 2"):
+    with pytest.raises(DataError, match="unknown node id at line 2: 'n9'"):
         load_dataset(np_, ep)
 
 

@@ -102,6 +102,9 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.sigma_grid == (0.1, 1.0)
     assert cfg.normalization == "minmax"
     assert cfg.output_dir == "reports"  # default untouched
+    # a UTF-8 byte-order mark before the first key is not part of the key
+    path.write_text("\ufeff" + text.removeprefix("# experiment\n"), encoding="utf-8")
+    assert parse_config_file(str(path)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -496,6 +499,13 @@ def test_degenerate_flag_requires_both_conditions():
     state2 = LabelState.from_graph(chain_graph(n))
     state2.set_predicted(mixed)
     assert not degenerate_flag(state2, nodes, np.array([0.3, 0.7]))
+    # both bounds are strict: a target of exactly 0.5 is not a minority,
+    # and a share of exactly 0.9 is not a pile
+    assert not degenerate_flag(state, nodes, np.array([0.5, 0.5]))
+    for top, flagged in ((900, False), (901, True)):
+        piled = LabelState.from_graph(chain_graph(1000))
+        piled.set_predicted(np.repeat([0, 1], [top, 1000 - top]))
+        assert degenerate_flag(piled, np.arange(1000), np.array([0.3, 0.7])) is flagged
 
 
 # ------------------------------------------------------------- experiment

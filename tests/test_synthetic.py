@@ -53,13 +53,20 @@ def test_attr_dim_pads_or_truncates_class_centers():
     assert narrow.attributes.shape == (40, 2)
 
 
-def test_parameter_validation():
+def test_parameter_validation(monkeypatch):
+    # every argument is checked before the first draw
+    def no_draws(seed):
+        raise AssertionError("generate_dataset created an RNG before checking its arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError):
         generate_dataset(10, 2, 1.5, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_dataset(10, 1, 0.5, 1.0, seed=0)
     with pytest.raises(ValueError):
         generate_dataset(3, 4, 0.5, 1.0, seed=0)  # more classes than nodes
+    with pytest.raises(ValueError, match="attr_dim"):
+        generate_dataset(10, 2, 0.5, 1.0, seed=0, attr_dim=0)
 
 
 def test_written_files_load_back_identically(tmp_path):
