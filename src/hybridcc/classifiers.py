@@ -83,7 +83,6 @@ class NBRelationalModel:
 
     class_prior: np.ndarray
     neighbor_table: np.ndarray
-    alpha: float
     missing_classes: tuple[int, ...] = ()
 
     @property
@@ -210,31 +209,30 @@ def _fit(Xb, labels, n_classes, sigma_sq, name, log_beta=None, penalty=None):
                    converged=converged, n_iter=int(result.nit))
 
 
-def _resolve_n_classes(labels, n_classes):
+def _check_labels(labels, n_classes):
     labels = np.asarray(labels, dtype=np.int64)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-D array")
     if labels.min() < 0:
         raise ValueError("labels must be non-negative class indices")
-    inferred = int(labels.max()) + 1
-    if n_classes is None:
-        n_classes = max(inferred, 2)
-    elif inferred > n_classes:
+    if labels.max() >= n_classes:
         raise ValueError("label index outside the declared class domain")
-    return labels, n_classes
+    return labels
 
 
-def lr_train(features, labels, sigma_sq, n_classes=None) -> LRModel:
+def lr_train(features, labels, sigma_sq, n_classes) -> LRModel:
     """Fit multinomial logistic regression under a Gaussian prior.
 
     Maximizes ``sum_i log p(y_i | x_i) - ||w||^2 / (2 sigma_sq)`` where the
-    bias column is excluded from the penalty. Training is deterministic:
-    weights start at zero and L-BFGS has no random component. If the
-    iteration cap ``MAX_ITER`` is reached a ``ConvergenceWarning`` is
-    emitted and the last iterate is returned.
+    bias column is excluded from the penalty. The model has one weight row
+    per class of the ``n_classes``-class domain, including classes no
+    training label carries. Training is deterministic: weights start at
+    zero and L-BFGS has no random component. If the iteration cap
+    ``MAX_ITER`` is reached a ``ConvergenceWarning`` is emitted and the
+    last iterate is returned.
     """
     X = _check_features(features)
-    labels, n_classes = _resolve_n_classes(labels, n_classes)
+    labels = _check_labels(labels, n_classes)
     if X.shape[0] != labels.size:
         raise ValueError("features and labels disagree on the number of rows")
     if not 0 < sigma_sq < np.inf:
@@ -257,19 +255,20 @@ def lr_predict_proba(model: LRModel, X) -> np.ndarray:
     return np.exp(_lr_log_proba(model, X))
 
 
-def nb_relational_train(counts, labels, alpha, n_classes=None) -> NBRelationalModel:
+def nb_relational_train(counts, labels, alpha, n_classes) -> NBRelationalModel:
     """Fit the neighbor-label Naive Bayes table with Dirichlet smoothing.
 
     Row ``y`` of the table pools the neighbor-label counts of all training
-    nodes of class ``y``: ``(pooled_c + alpha) / (pooled_total + C*alpha)``.
-    A class with no training node keeps the uniform smoothing-only row and
+    nodes of class ``y``: ``(pooled_c + alpha) / (pooled_total + C*alpha)``
+    with ``C = n_classes``, the size of the class domain. A class of the
+    domain with no training node keeps the uniform smoothing-only row and
     is reported in ``missing_classes``. The class prior is smoothed the same
     way from the training label counts.
     """
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     counts = np.asarray(counts, dtype=float)
-    labels, n_classes = _resolve_n_classes(labels, n_classes)
+    labels = _check_labels(labels, n_classes)
     if counts.ndim != 2 or counts.shape[0] != labels.size:
         raise ValueError("counts must be one row per training label")
     if counts.shape[1] != n_classes:
@@ -284,12 +283,7 @@ def nb_relational_train(counts, labels, alpha, n_classes=None) -> NBRelationalMo
     label_counts = np.bincount(labels, minlength=n_classes).astype(float)
     prior = (label_counts + alpha) / (labels.size + n_classes * alpha)
     missing = tuple(int(c) for c in np.flatnonzero(label_counts == 0))
-    return NBRelationalModel(
-        class_prior=prior,
-        neighbor_table=table,
-        alpha=float(alpha),
-        missing_classes=missing,
-    )
+    return NBRelationalModel(class_prior=prior, neighbor_table=table, missing_classes=missing)
 
 
 def _nb_log_posterior(model: NBRelationalModel, counts) -> np.ndarray:
@@ -437,7 +431,7 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target):
 
 def lr_train_label_reg(known_features, known_labels, known_beta,
                        unlabeled_features, unlabeled_beta,
-                       config: LabelRegConfig, sigma_sq, n_classes=None,
+                       config: LabelRegConfig, sigma_sq, n_classes,
                        beta_weighted_likelihood=True) -> LRModel:
     """Fit label-regularized logistic regression.
 
@@ -448,7 +442,8 @@ def lr_train_label_reg(known_features, known_labels, known_beta,
     model and stay frozen for the whole optimization. By default the
     supervised term uses the same beta-weighted prediction as the penalty
     term; ``beta_weighted_likelihood=False`` switches the supervised term
-    to the plain softmax. Like ``lr_train``, it stops at the iteration cap
+    to the plain softmax. Like ``lr_train``, it fits one weight row per
+    class of the ``n_classes``-class domain and stops at the iteration cap
     ``MAX_ITER``.
     """
     Xk = _check_features(known_features, "known features")
@@ -457,7 +452,7 @@ def lr_train_label_reg(known_features, known_labels, known_beta,
         raise ValueError("unlabeled set must be non-empty")
     if Xk.shape[1] != Xu.shape[1]:
         raise ValueError("known and unlabeled feature dimensions disagree")
-    labels, n_classes = _resolve_n_classes(known_labels, n_classes)
+    labels = _check_labels(known_labels, n_classes)
     if Xk.shape[0] != labels.size:
         raise ValueError("features and labels disagree on the number of rows")
     if not 0 < sigma_sq < np.inf:

@@ -294,10 +294,6 @@ class PreparedDataset:
     truth: np.ndarray
     ids: tuple[str, ...]
 
-    @property
-    def label_domain(self) -> tuple[str, ...]:
-        return self.graph.label_domain
-
 
 def prepare_dataset(node_path, edge_path, pca_components=0,
                     normalization="zscore") -> PreparedDataset:
@@ -332,5 +328,5 @@ def assemble_dataset(raw: RawDataset, pca_components=0,
         raise DataError("dataset carries fewer than 2 distinct labels")
     lookup = {name: i for i, name in enumerate(domain)}
     truth = np.array([lookup[lab] for lab in raw.labels], dtype=np.int64)
-    graph = DataGraph.build(raw.edges, X, domain, known_labels={})
+    graph = DataGraph.build(raw.edges, X, domain)
     return PreparedDataset(graph=graph, truth=truth, ids=raw.ids)

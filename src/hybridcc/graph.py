@@ -55,14 +55,14 @@ class DataGraph:
     known_labels: dict[int, int]
 
     @classmethod
-    def build(cls, edges, attributes, label_domain, known_labels=None):
-        """Construct a graph from an edge list.
+    def build(cls, edges, attributes, label_domain):
+        """Construct a graph with no known labels from an edge list.
 
         ``edges`` is a sequence of (i, j) node-index pairs. Duplicates and
         reversed orientations collapse to a single undirected edge; self
         loops are discarded. Raises ``ValueError`` for out-of-range
-        endpoints, isolated nodes, fewer than two classes, or known labels
-        outside the class domain.
+        endpoints, isolated nodes, or fewer than two classes. Known labels
+        are installed by ``with_known_labels``.
         """
         attributes = np.asarray(attributes, dtype=float)
         if attributes.ndim != 2:
@@ -87,9 +87,8 @@ class DataGraph:
         if isolated.size:
             raise ValueError(f"node {int(isolated[0])} is isolated (degree 0)")
 
-        graph = cls(adjacency=adjacency, attributes=attributes,
-                    label_domain=label_domain, known_labels={})
-        return graph.with_known_labels(known_labels or {})
+        return cls(adjacency=adjacency, attributes=attributes,
+                   label_domain=label_domain, known_labels={})
 
     @property
     def degrees(self) -> np.ndarray:

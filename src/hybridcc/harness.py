@@ -20,7 +20,6 @@ determinism.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import os
 import time
@@ -113,8 +112,9 @@ class ExperimentConfig:
         for d in self.densities:
             if not 0.0 < d < 1.0:
                 raise ConfigError(f"density {d} outside (0, 1)")
-        if len(set(self.densities)) != len(self.densities):
-            raise ConfigError("densities contains duplicates")
+        # the reports print densities with :g, so compare them as written
+        if len({f"{d:g}" for d in self.densities}) != len(self.densities):
+            raise ConfigError("densities contains duplicates as the reports write them (:g)")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not self.variants:
@@ -137,8 +137,8 @@ class ExperimentConfig:
             raise ConfigError("classifiers contains duplicates")
         if self.master_seed < 0:
             raise ConfigError("master_seed must be >= 0")
-        if self.cv_folds < 1:
-            raise ConfigError("cv_folds must be >= 1")
+        if self.cv_folds < 2:
+            raise ConfigError("cv_folds must be >= 2")
         for name, grid in (("sigma_grid", self.sigma_grid), ("alpha_grid", self.alpha_grid)):
             if not grid or not all(0 < g < math.inf for g in grid):
                 raise ConfigError(f"{name} must be non-empty with positive finite entries")
@@ -208,8 +208,8 @@ def parse_config_file(path) -> ExperimentConfig:
 class TrialResult:
     """Outcome of one (density, trial, variant, classifier) cell.
 
-    ``wall_time_s`` and ``known_fingerprint`` are kept for in-process
-    inspection only and never written to the CSV reports.
+    ``wall_time_s`` is kept for in-process inspection only and never
+    written to the CSV reports.
     """
 
     density: float
@@ -223,7 +223,6 @@ class TrialResult:
     status: str = "ok"
     note: str = ""
     wall_time_s: float = 0.0
-    known_fingerprint: str = ""
 
 
 @dataclass(frozen=True)
@@ -350,7 +349,7 @@ def cross_validate_hyperparams(graph: DataGraph, sigma_grid, alpha_grid, folds, 
         attr_model = fit_attribute_only(fold_graph, sigma)
         for a in alpha_grid:
             state = ssl_learn(
-                fold_graph, probe, ClassifierSpec("lr+nb", sigma, a), attr_model,
+                fold_graph, probe, ClassifierSpec("lr+nb", nb_alpha=a), attr_model,
                 ica_iterations=ica_iterations,
             )
             hits[a] += int(np.sum(state.labels[held_out] == labels[held_out]))
@@ -465,15 +464,20 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
     is searched only when some configured kind has one (the others report
     a blank ``nb_alpha``). A failing cell records an error row; the run
     continues. An error in tuning or in the attribute-only fit fails every
-    classifier cell of its trial with that note. Returns the results in
-    report order after writing ``trials.csv`` and ``summary.csv`` under
-    ``config.output_dir``.
+    classifier cell of its trial with that note. ``config.output_dir`` is
+    created before the first trial, and ``ConfigError`` is raised if it
+    cannot be. Returns the results in report order after writing
+    ``trials.csv`` and ``summary.csv`` there.
     """
     dataset = prepare_dataset(
         config.nodes_path, config.edges_path,
         pca_components=config.pca_components,
         normalization=config.normalization,
     )
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {config.output_dir}: {exc}") from None
     graph, truth = dataset.graph, dataset.truth
     combos = _combos(config)
     nb_kinds = {kind for kind in config.classifiers if ClassifierSpec(kind).uses_nb}
@@ -484,7 +488,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
         for trial in range(config.trials):
             sample_seed = np.random.SeedSequence((config.master_seed, d_idx, trial, 0))
             known_nodes = sample_known(graph, density, sample_seed)
-            fingerprint = hashlib.sha1(known_nodes.tobytes()).hexdigest()
             trial_graph = graph.with_known_labels(
                 {int(i): int(truth[i]) for i in known_nodes}
             )
@@ -514,9 +517,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                             raise failure
                         sigma, alpha, attr_model = tuned
                         if kind in nb_kinds:
-                            spec = ClassifierSpec(kind, sigma_sq=sigma, nb_alpha=alpha)
+                            spec = ClassifierSpec(kind, nb_alpha=alpha)
                         else:
-                            spec, alpha = ClassifierSpec(kind, sigma_sq=sigma), None
+                            spec, alpha = ClassifierSpec(kind), None
                         state = _run_cell(
                             variant, spec, attr_model, trial_graph, config.ica_iterations,
                             config.em_iterations,
@@ -533,7 +536,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                     classifier=kind, accuracy=acc, sigma_sq=sigma,
                     nb_alpha=alpha, degenerate=degenerate, status=status,
                     note=note, wall_time_s=time.perf_counter() - start,
-                    known_fingerprint=fingerprint,
                 ))
                 if progress is not None:
                     shown = "error" if acc is None else f"{acc:.4f}"
@@ -547,7 +549,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
         config.densities.index(r.density), order[(r.variant, r.classifier)], r.trial,
     ))
 
-    os.makedirs(config.output_dir, exist_ok=True)
     write_trials_csv(results, os.path.join(config.output_dir, "trials.csv"))
     rows = summarize(results, config)
     write_summary_csv(
@@ -600,8 +601,8 @@ def summarize(results, config: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-def _fmt(value, pattern="%.4f"):
-    return "" if value is None else pattern % value
+def _fmt(value):
+    return "" if value is None else "%.4f" % value
 
 
 def write_trials_csv(results, path) -> None:

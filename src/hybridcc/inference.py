@@ -27,6 +27,9 @@ from .graph import (
 
 __all__ = ["ica", "iterate", "wvrn_rl"]
 
+WVRN_MAX_SWEEPS = 100
+WVRN_TOL = 1e-4
+
 
 def iterate(step, state, n: int):
     """Return ``step`` applied ``n`` times to ``state``, stopping early.
@@ -87,8 +90,7 @@ def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -
     return iterate(round_, start, iterations)
 
 
-def wvrn_rl(graph: DataGraph, max_iterations: int = 100, convergence_tol: float = 1e-4,
-            return_distributions: bool = False):
+def wvrn_rl(graph: DataGraph) -> LabelState:
     """Relational-only inference by repeated neighbor averaging (Macskassy
     & Provost 2007).
 
@@ -96,36 +98,34 @@ def wvrn_rl(graph: DataGraph, max_iterations: int = 100, convergence_tol: float 
     the unsmoothed class distribution of the known labels and are updated
     simultaneously each sweep to the mean of their neighbors' current
     distributions. Sweeps stop when the largest single-entry change falls
-    below ``convergence_tol`` or after ``max_iterations``. The returned
-    labeling takes each unknown node's argmax, lowest index on ties.
-
-    With ``return_distributions`` the result is ``(state, dist)`` where
-    ``dist`` is the final (nodes x classes) matrix, known rows one-hot.
+    below ``WVRN_TOL`` or after ``WVRN_MAX_SWEEPS``, both read at call
+    time. The returned labeling takes each unknown node's argmax, lowest
+    index on ties.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if convergence_tol <= 0:
-        raise ValueError("convergence_tol must be > 0")
+    state = LabelState.from_graph(graph)
+    state.set_predicted(np.argmax(_wvrn_distributions(graph)[graph.unknown_nodes], axis=1))
+    return state
+
+
+def _wvrn_distributions(graph: DataGraph) -> np.ndarray:
+    """The (nodes x classes) matrix ``wvrn_rl`` takes its argmax from,
+    known rows one-hot."""
     if not graph.known_labels:
         raise ValueError("relational-only inference needs at least one known label")
-
-    state = LabelState.from_graph(graph)
     unknown = graph.unknown_nodes
     known = graph.known_nodes
     dist = np.zeros((graph.node_count, graph.n_classes))
-    dist[known, state.labels[known]] = 1.0
+    dist[known, [graph.known_labels[i] for i in known]] = 1.0
     if unknown.size == 0:
-        return (state, dist) if return_distributions else state
+        return dist
     dist[unknown] = class_prior(graph, smoothing=0.0)
 
     inv_degree = 1.0 / graph.degrees.astype(float)
 
-    for _ in range(max_iterations):
+    for _ in range(WVRN_MAX_SWEEPS):
         updated = ((graph.adjacency @ dist) * inv_degree[:, None])[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))
         dist[unknown] = updated
-        if delta < convergence_tol:
+        if delta < WVRN_TOL:
             break
-
-    state.set_predicted(np.argmax(dist[unknown], axis=1))
-    return (state, dist) if return_distributions else state
+    return dist

@@ -113,17 +113,17 @@ class ClassifierSpec:
     whose relational member is either a second logistic regression over
     proportions (``lr+lr``) or a Naive Bayes over counts (``lr+nb``), each
     optionally with label-regularized attribute training (``+reg``).
+    ``nb_alpha`` is the Naive Bayes member's smoothing. The prior variance
+    of every logistic regression is not a spec field: the learners read it
+    from the attribute-only model they are given (``LRModel.sigma_sq``).
     """
 
     kind: str
-    sigma_sq: float = 1.0
     nb_alpha: float = 1.0
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if not 0 < self.sigma_sq < np.inf:
-            raise ValueError("sigma_sq must be positive and finite")
         if not 0 < self.nb_alpha < np.inf:
             raise ValueError("nb_alpha must be positive and finite")
 
@@ -153,7 +153,8 @@ def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
     Relational features come from the full current labeling, or from the
     ``neighbor_mask`` subset when given; only the kind the node model reads
     is computed (counts for Naive Bayes members, proportions otherwise).
-    For hybrid specs the relational member is fitted first. Trained on the
+    Every logistic regression is fitted under ``attr_model.sigma_sq``. For
+    hybrid specs the relational member is fitted first. Trained on the
     known nodes without label regularization, the attribute member is
     ``attr_model`` itself; ``+reg`` specs instead freeze the relational
     member's predictions into the per-node multipliers for
@@ -169,19 +170,18 @@ def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
     features = compute_features(graph, state, within=neighbor_mask)
     attrs = graph.attributes
     c = graph.n_classes
+    sigma_sq = attr_model.sigma_sq
 
     if not spec.hybrid:
         X = np.hstack([attrs[train_nodes], features[train_nodes]])
-        return ConcatLRModel(lr_train(X, labels, spec.sigma_sq, n_classes=c))
+        return ConcatLRModel(lr_train(X, labels, sigma_sq, n_classes=c))
 
     if spec.uses_nb:
         rel_model = nb_relational_train(
             features[train_nodes], labels, spec.nb_alpha, n_classes=c
         )
     else:
-        rel_model = lr_train(
-            features[train_nodes], labels, spec.sigma_sq, n_classes=c
-        )
+        rel_model = lr_train(features[train_nodes], labels, sigma_sq, n_classes=c)
 
     if spec.regularized:
         unknown = graph.unknown_nodes
@@ -194,10 +194,10 @@ def _train_node_model(graph, state, spec, attr_model, learn_from_all, prior,
         attr_model = lr_train_label_reg(
             attrs[train_nodes], labels, beta_for(train_nodes),
             attrs[unknown], beta_for(unknown),
-            config, spec.sigma_sq, n_classes=c,
+            config, sigma_sq, n_classes=c,
         )
     elif learn_from_all:
-        attr_model = lr_train(attrs[train_nodes], labels, spec.sigma_sq, n_classes=c)
+        attr_model = lr_train(attrs[train_nodes], labels, sigma_sq, n_classes=c)
     return HybridModel(attribute_model=attr_model, relational_model=rel_model, prior=prior)
 
 
@@ -215,21 +215,19 @@ def ssl_learn(graph: DataGraph, variant: SslVariant, spec: ClassifierSpec,
               attr_model: LRModel, *, ica_iterations: int = 10) -> LabelState:
     """Run the generic semi-supervised loop and return the final labeling.
 
-    ``attr_model`` is ``fit_attribute_only(graph, spec.sigma_sq)``; another
-    prior variance raises ``ValueError``. ``attr_only`` labels the unknown
-    nodes with it once; that labeling is the first iteration's input and
-    the start of every iteration's collective inference. Each iteration
-    recomputes relational features from the current labeling, trains the
-    node classifier on all nodes or on the supervised nodes per
-    ``variant.learn_from_all``, and replaces the unknown labels with a
-    fresh ``ica`` pass of at most ``ica_iterations`` rounds. Every
-    iteration is a deterministic function of the incoming labeling, so the
-    loop stops at the first repeated labeling and returns the one
-    ``variant.n_iterations`` iterations reach (see ``iterate``), so it may
-    train fewer node classifiers than ``variant.n_iterations``.
+    ``attr_model`` is ``fit_attribute_only(graph, sigma_sq)``, and every
+    logistic regression the loop fits uses its ``sigma_sq``. ``attr_only``
+    labels the unknown nodes with it once; that labeling is the first
+    iteration's input and the start of every iteration's collective
+    inference. Each iteration recomputes relational features from the
+    current labeling, trains the node classifier on all nodes or on the
+    supervised nodes per ``variant.learn_from_all``, and replaces the
+    unknown labels with a fresh ``ica`` pass of at most ``ica_iterations``
+    rounds. Every iteration is a deterministic function of the incoming
+    labeling, so the loop stops at the first repeated labeling and returns
+    the one ``variant.n_iterations`` iterations reach (see ``iterate``), so
+    it may train fewer node classifiers than ``variant.n_iterations``.
     """
-    if attr_model.sigma_sq != spec.sigma_sq:
-        raise ValueError("attr_model was fitted under another sigma_sq than spec's")
     start = attr_only(graph, attr_model)
     if graph.unknown_nodes.size == 0:
         return start
@@ -251,16 +249,13 @@ def no_ssl(graph: DataGraph, spec: ClassifierSpec, attr_model: LRModel, *,
     The node classifier is fitted on the supervised nodes with relational
     features restricted to supervised neighbors (a node whose neighbors are
     all unlabeled contributes an all-zero proportion row and an empty count
-    row); a hybrid's attribute member is ``attr_model``, which must be
-    ``fit_attribute_only(graph, spec.sigma_sq)`` as in ``ssl_learn``. Label
-    regularization is switched off here regardless of ``spec`` because the
-    penalty is defined over unlabeled nodes. Inference still runs over the
-    whole graph from the ``attr_only`` labeling, for at most
-    ``ica_iterations`` rounds, so unlabeled nodes enter at prediction time
-    only.
+    row); a hybrid's attribute member is ``attr_model``, and the other fits
+    use its ``sigma_sq``, as in ``ssl_learn``. Label regularization is
+    switched off here regardless of ``spec`` because the penalty is defined
+    over unlabeled nodes. Inference still runs over the whole graph from
+    the ``attr_only`` labeling, for at most ``ica_iterations`` rounds, so
+    unlabeled nodes enter at prediction time only.
     """
-    if attr_model.sigma_sq != spec.sigma_sq:
-        raise ValueError("attr_model was fitted under another sigma_sq than spec's")
     start = attr_only(graph, attr_model)
     if graph.unknown_nodes.size == 0:
         return start

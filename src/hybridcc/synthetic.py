@@ -130,7 +130,7 @@ def synthetic_graph(n_nodes, n_classes, homophily, attr_noise, seed,
         n_nodes, n_classes, homophily, attr_noise, seed,
         avg_degree=avg_degree, attr_dim=attr_dim,
     )
-    graph = DataGraph.build(data.edges, data.attributes, data.label_domain, known_labels={})
+    graph = DataGraph.build(data.edges, data.attributes, data.label_domain)
     return graph, data.labels
 
 

@@ -2,8 +2,8 @@
 iteration and every round run, however early the labeling repeats, and
 each ICA round computed the long way (both feature kinds, the whole node
 model re-evaluated). Every ICA pass is bootstrapped from, and every node
-model trained with, an attribute-only model fitted afresh, so the
-references do not depend on the learner sharing one."""
+model trained with, an attribute-only model fitted afresh at ``SIGMA_SQ``,
+so the references do not depend on the learner sharing one."""
 
 import numpy as np
 
@@ -16,28 +16,30 @@ from hybridcc.graph import (
 )
 from hybridcc.learning import _train_node_model
 
+SIGMA_SQ = 1.0
 
-def attribute_model(graph, spec):
+
+def attribute_model(graph):
     """Logistic regression on the known nodes' attributes alone."""
     known = graph.known_nodes
     labels = [graph.known_labels[int(i)] for i in known]
-    return lr_train(graph.attributes[known], labels, spec.sigma_sq, n_classes=graph.n_classes)
+    return lr_train(graph.attributes[known], labels, SIGMA_SQ, n_classes=graph.n_classes)
 
 
-def attribute_only_state(graph, spec):
+def attribute_only_state(graph):
     """The unknown nodes labeled by a fresh attribute-only model."""
     state = LabelState.from_graph(graph)
-    proba = lr_predict_proba(attribute_model(graph, spec), graph.attributes[graph.unknown_nodes])
+    proba = lr_predict_proba(attribute_model(graph), graph.attributes[graph.unknown_nodes])
     state.set_predicted(np.argmax(proba, axis=1))
     return state
 
 
-def full_budget_ica(graph, spec, node_model, iterations):
+def full_budget_ica(graph, node_model, iterations):
     """Reference ICA that always runs every round. Every round computes
     both feature kinds and evaluates the whole node model, attribute
     member included. Returns the final state and the labeling after the
     bootstrap and after each round."""
-    state = attribute_only_state(graph, spec)
+    state = attribute_only_state(graph)
     unknown = graph.unknown_nodes
     history = [state.labels.copy()]
     for _ in range(iterations):
@@ -54,14 +56,14 @@ def full_budget_ssl_learn(graph, variant, spec, ica_iterations):
     """Reference EM loop that always runs every iteration, each with a
     full-budget ICA. Returns the labeling after the bootstrap and after each
     iteration, plus every (node model, ICA history)."""
-    state = attribute_only_state(graph, spec)
+    state = attribute_only_state(graph)
     prior = class_prior(graph)
     history, ica_runs = [state.labels.copy()], []
     for _ in range(variant.n_iterations):
         node_model = _train_node_model(
-            graph, state, spec, attribute_model(graph, spec), variant.learn_from_all, prior
+            graph, state, spec, attribute_model(graph), variant.learn_from_all, prior
         )
-        state, ica_history = full_budget_ica(graph, spec, node_model, ica_iterations)
+        state, ica_history = full_budget_ica(graph, node_model, ica_iterations)
         ica_runs.append((node_model, ica_history))
         history.append(state.labels.copy())
     return history, ica_runs
@@ -74,10 +76,10 @@ def full_budget_no_ssl(graph, spec, ica_iterations):
     history)."""
     spec = spec.without_label_reg()
     node_model = _train_node_model(
-        graph, LabelState.from_graph(graph), spec, attribute_model(graph, spec), False,
+        graph, LabelState.from_graph(graph), spec, attribute_model(graph), False,
         class_prior(graph), neighbor_mask=graph.known_mask(),
     )
-    state, ica_history = full_budget_ica(graph, spec, node_model, ica_iterations)
+    state, ica_history = full_budget_ica(graph, node_model, ica_iterations)
     return [state.labels.copy()], [(node_model, ica_history)]
 
 

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from hybridcc import inference
 from hybridcc.classifiers import (
     _label_reg_value_grad,
     hybrid_combine,
@@ -20,7 +21,7 @@ from hybridcc.classifiers import (
 )
 from hybridcc.graph import DataGraph, LabelState, class_prior
 from hybridcc.harness import ExperimentConfig, run_experiment, sample_known
-from hybridcc.inference import wvrn_rl
+from hybridcc.inference import _wvrn_distributions
 from hybridcc.learning import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -90,8 +91,8 @@ def test_acceptance_2_product_rule_equals_joint_nb():
     CA = np.array([rng.multinomial(6, theta_a[k]) for k in y], dtype=float)
     CR = np.array([rng.multinomial(9, theta_r[k]) for k in y], dtype=float)
 
-    m_a = nb_relational_train(CA, y, alpha=alpha)
-    m_r = nb_relational_train(CR, y, alpha=alpha)
+    m_a = nb_relational_train(CA, y, alpha=alpha, n_classes=c)
+    m_r = nb_relational_train(CR, y, alpha=alpha, n_classes=c)
     combined = hybrid_combine(
         np.log(nb_relational_predict(m_a, CA)), np.log(nb_relational_predict(m_r, CR)),
         m_a.class_prior,
@@ -121,11 +122,11 @@ def test_acceptance_2_product_rule_equals_joint_nb():
 # -------------------------------------------------------------- criterion 3
 
 
-def test_acceptance_3_neighbor_averaging_reaches_solved_fixed_point():
+def test_acceptance_3_neighbor_averaging_reaches_solved_fixed_point(monkeypatch):
     """Iterated clamped averaging vs the directly solved linear system."""
     start = time.perf_counter()
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4)]
-    g = DataGraph.build(edges, np.zeros((6, 1)), ("a", "b"), known_labels={0: 0, 5: 1})
+    g = DataGraph.build(edges, np.zeros((6, 1)), ("a", "b")).with_known_labels({0: 0, 5: 1})
 
     n, c = g.node_count, g.n_classes
     state = LabelState.from_graph(g)
@@ -139,7 +140,9 @@ def test_acceptance_3_neighbor_averaging_reaches_solved_fixed_point():
         P[np.ix_(unknown, known)] @ clamp[known],
     )
 
-    _, dist = wvrn_rl(g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True)
+    monkeypatch.setattr(inference, "WVRN_MAX_SWEEPS", 20000)
+    monkeypatch.setattr(inference, "WVRN_TOL", 1e-13)
+    dist = _wvrn_distributions(g)
     gap = float(np.max(np.abs(dist - solved)))
     elapsed = time.perf_counter() - start
     report("3 averaging fixed point", gap < 1e-6, f"max gap {gap:.2e} < 1e-6")

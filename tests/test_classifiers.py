@@ -63,7 +63,7 @@ def test_lr_predict_recovers_softmax():
 def test_lr_learns_separable_points():
     X = np.array([[-1.0], [1.0]])
     y = np.array([0, 1])
-    model = lr_train(X, y, sigma_sq=10.0)
+    model = lr_train(X, y, sigma_sq=10.0, n_classes=2)
     p = lr_predict_proba(model, X)
     assert model.converged
     assert p[0, 0] > 0.9 and p[1, 1] > 0.9
@@ -73,15 +73,15 @@ def test_lr_regularization_shrinks_weights():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
-    loose = lr_train(X, y, sigma_sq=100.0)
-    tight = lr_train(X, y, sigma_sq=0.01)
+    loose = lr_train(X, y, sigma_sq=100.0, n_classes=2)
+    tight = lr_train(X, y, sigma_sq=0.01, n_classes=2)
     assert np.linalg.norm(tight.weights[:, :-1]) < np.linalg.norm(loose.weights[:, :-1])
 
 
-def _label_reg_on_same_rows(X, y, sigma_sq):
+def _label_reg_on_same_rows(X, y, sigma_sq, n_classes):
     """Fit through ``lr_train_label_reg``, reusing the rows as the unlabeled set."""
-    cfg = LabelRegConfig(target_dist=np.full(2, 0.5), lam=1.0)
-    return lr_train_label_reg(X, y, None, X, None, cfg, sigma_sq)
+    cfg = LabelRegConfig(target_dist=np.full(n_classes, 1 / n_classes), lam=1.0)
+    return lr_train_label_reg(X, y, None, X, None, cfg, sigma_sq, n_classes)
 
 
 @pytest.mark.parametrize(
@@ -92,7 +92,7 @@ def test_lr_train_warns_when_iteration_cap_hits(monkeypatch, train):
     y = np.array([0, 1])
     monkeypatch.setattr(classifiers, "MAX_ITER", 3)
     with pytest.warns(ConvergenceWarning):
-        model = train(X, y, sigma_sq=1e6)
+        model = train(X, y, sigma_sq=1e6, n_classes=2)
     assert model.converged is False
     assert model.n_iter <= 3
 
@@ -127,7 +127,7 @@ def test_lr_predictions_normalize(seed, n, d, c):
 def test_nb_tables_match_hand_computation():
     counts = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
     labels = np.array([0, 0, 1])
-    model = nb_relational_train(counts, labels, alpha=1.0)
+    model = nb_relational_train(counts, labels, alpha=1.0, n_classes=2)
     # class 0 pools (3,1) over 4: ((3+1)/6, (1+1)/6); class 1 pools (0,3): (1/5, 4/5)
     assert np.allclose(model.neighbor_table[0], [4 / 6, 2 / 6])
     assert np.allclose(model.neighbor_table[1], [1 / 5, 4 / 5])
@@ -137,7 +137,7 @@ def test_nb_tables_match_hand_computation():
 def test_nb_zero_counts_fall_back_to_prior():
     counts = np.array([[2.0, 0.0], [0.0, 3.0]])
     labels = np.array([0, 1])
-    model = nb_relational_train(counts, labels, alpha=1.0)
+    model = nb_relational_train(counts, labels, alpha=1.0, n_classes=2)
     p = nb_relational_predict(model, np.zeros((1, 2)))
     assert np.allclose(p[0], model.class_prior)
 
@@ -153,7 +153,7 @@ def test_nb_unseen_class_gets_uniform_row():
 def test_nb_rejects_non_positive_alpha():
     counts = np.array([[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(ValueError, match="alpha"):
-        nb_relational_train(counts, np.array([0, 1]), alpha=0.0)
+        nb_relational_train(counts, np.array([0, 1]), alpha=0.0, n_classes=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,16 +197,16 @@ def test_hybrid_model_dispatches_on_member_type():
     counts = rng.integers(0, 4, size=(6, 2)).astype(float)
     props = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1.0)
     prior = np.array([0.5, 0.5])
-    m_attr = lr_train(attrs, labels, sigma_sq=1.0)
+    m_attr = lr_train(attrs, labels, sigma_sq=1.0, n_classes=2)
 
     nb = HybridModel(
         attribute_model=m_attr,
-        relational_model=nb_relational_train(counts, labels, alpha=1.0),
+        relational_model=nb_relational_train(counts, labels, alpha=1.0, n_classes=2),
         prior=prior,
     )
     lr = HybridModel(
         attribute_model=m_attr,
-        relational_model=lr_train(props, labels, sigma_sq=1.0),
+        relational_model=lr_train(props, labels, sigma_sq=1.0, n_classes=2),
         prior=prior,
     )
     # NB member reads counts, LR member reads proportions
@@ -237,7 +237,9 @@ def test_hybrid_model_is_exact_when_both_members_underflow():
     # alpha=0.1 on one-sided training counts gives a peaked table: 600
     # class-0 neighbors score class 1 about 2770 nats lower, far past exp's
     # range, while the attribute member favors class 1 by 3000 nats.
-    nb = nb_relational_train(np.array([[10.0, 0.0], [0.0, 10.0]]), np.array([0, 1]), alpha=0.1)
+    nb = nb_relational_train(
+        np.array([[10.0, 0.0], [0.0, 10.0]]), np.array([0, 1]), alpha=0.1, n_classes=2
+    )
     attr = make_lr([[0.0, 0.0], [-10.0, 0.0]])
     attrs = np.array([[-300.0]])
     counts = np.array([[600.0, 0.0]])
@@ -253,7 +255,9 @@ def test_hybrid_model_is_exact_when_both_members_underflow():
 
 def test_single_vector_inputs_are_rejected():
     lr = make_lr([[1.0, 0.0], [0.0, 0.0]])
-    nb = nb_relational_train(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1]), alpha=1.0)
+    nb = nb_relational_train(
+        np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1]), alpha=1.0, n_classes=2
+    )
     concat = ConcatLRModel(make_lr(np.zeros((2, 3))))
     vec = np.array([0.5, 0.5])
     with pytest.raises(ValueError):
@@ -402,8 +406,8 @@ def test_lambda_zero_equals_plain_training():
     """With no penalty and no multipliers the reg path is ordinary LR."""
     Xk, yk, Xu, _, _ = _reg_instance()
     cfg = LabelRegConfig(target_dist=np.full(3, 1 / 3), lam=0.0)
-    reg = lr_train_label_reg(Xk, yk, None, Xu, None, cfg, sigma_sq=1.0)
-    plain = lr_train(Xk, yk, sigma_sq=1.0)
+    reg = lr_train_label_reg(Xk, yk, None, Xu, None, cfg, sigma_sq=1.0, n_classes=3)
+    plain = lr_train(Xk, yk, sigma_sq=1.0, n_classes=3)
     assert np.array_equal(reg.weights, plain.weights)
 
 
@@ -414,7 +418,7 @@ def test_penalty_weight_pulls_mean_prediction_toward_target():
     gaps = []
     for lam in (0.0, 5.0, 500.0):
         cfg = LabelRegConfig(target_dist=target, lam=lam)
-        model = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
+        model = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, n_classes=3)
         emp = mean_prediction(model.weights, Xu, beta_u)
         gaps.append(kl_penalty(target, emp))
     assert gaps[2] <= gaps[1] + 1e-9
@@ -425,9 +429,10 @@ def test_penalty_weight_pulls_mean_prediction_toward_target():
 def test_beta_weighted_likelihood_switch_changes_fit():
     Xk, yk, Xu, beta_k, beta_u = _reg_instance(seed=9)
     cfg = LabelRegConfig(target_dist=np.full(3, 1 / 3), lam=2.0)
-    a = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
+    a = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, n_classes=3)
     b = lr_train_label_reg(
-        Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, beta_weighted_likelihood=False
+        Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, n_classes=3,
+        beta_weighted_likelihood=False,
     )
     assert not np.allclose(a.weights, b.weights)
 
@@ -435,8 +440,8 @@ def test_beta_weighted_likelihood_switch_changes_fit():
 def test_reg_training_is_deterministic():
     Xk, yk, Xu, beta_k, beta_u = _reg_instance(seed=13)
     cfg = LabelRegConfig(target_dist=np.full(3, 1 / 3), lam=3.0)
-    a = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
-    b = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0)
+    a = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, n_classes=3)
+    b = lr_train_label_reg(Xk, yk, beta_k, Xu, beta_u, cfg, sigma_sq=1.0, n_classes=3)
     assert np.array_equal(a.weights, b.weights)
 
 
@@ -486,13 +491,15 @@ def _gate_lr_small():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] + 0.5 * rng.normal(size=40) > 0).astype(int)
-    return lr_train, dict(features=X, labels=y, sigma_sq=1.0)
+    return lr_train, dict(features=X, labels=y, sigma_sq=1.0, n_classes=2)
 
 
 def _gate_lr_sigma100():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(60, 5))
-    return lr_train, dict(features=X, labels=_noisy_linear_labels(rng, X, 3), sigma_sq=100.0)
+    return lr_train, dict(
+        features=X, labels=_noisy_linear_labels(rng, X, 3), sigma_sq=100.0, n_classes=3,
+    )
 
 
 def _gate_acc6_known_rows():
@@ -518,6 +525,7 @@ def _gate_reg_em_shaped():
     return lr_train_label_reg, dict(
         known_features=X, known_labels=y, known_beta=beta,
         unlabeled_features=X[20:], unlabeled_beta=beta[20:], config=cfg, sigma_sq=1.0,
+        n_classes=3,
     )
 
 
@@ -527,7 +535,7 @@ def _gate_reg_plain_likelihood():
     return lr_train_label_reg, dict(
         known_features=Xk, known_labels=yk, known_beta=beta_k,
         unlabeled_features=Xu, unlabeled_beta=beta_u, config=cfg, sigma_sq=1.0,
-        beta_weighted_likelihood=False,
+        n_classes=3, beta_weighted_likelihood=False,
     )
 
 
@@ -537,6 +545,7 @@ def _gate_reg_sigma100():
     return lr_train_label_reg, dict(
         known_features=Xk, known_labels=yk, known_beta=beta_k,
         unlabeled_features=Xu, unlabeled_beta=beta_u, config=cfg, sigma_sq=100.0,
+        n_classes=3,
     )
 
 

@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, output, and exit codes."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hybridcc
 import hybridcc.cli as cli
 from hybridcc.cli import (
     EXIT_ALL_TRIALS_FAILED,
@@ -109,6 +112,19 @@ def test_run_non_finite_grid_exits_1(tmp_path, small_dataset, capsys, key):
     assert not (tmp_path / "reports").exists()
 
 
+def test_run_uncreatable_output_dir_exits_1_before_any_trial(tmp_path, small_dataset, capsys):
+    """An output_dir under a regular file used to fail with a traceback
+    after the whole grid had run."""
+    nodes, edges = small_dataset
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, nodes, edges, output_dir=blocker / "reports")
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: cannot create output_dir" in err
+    assert "density" not in err  # no progress line: no trial ran
+
+
 def test_run_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -180,15 +196,14 @@ def test_validate_rejects_single_class_data(tmp_path, capsys):
 
 
 def test_module_entry_point_matches_cli(tmp_path, small_dataset):
-    import subprocess
-    import sys
-
+    # the child finds the package where this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hybridcc.__file__)))
     out = tmp_path / "gen"
     proc = subprocess.run(
         [sys.executable, "-m", "hybridcc", "gen-synthetic", "--nodes", "30",
          "--classes", "2", "--homophily", "0.7", "--attr-noise", "1.0",
          "--seed", "3", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == EXIT_OK
     assert (out / "nodes.tsv").exists()

@@ -240,7 +240,7 @@ def test_prepare_dataset_end_to_end(tmp_path):
     np_, ep = small_files(tmp_path)
     prepared = prepare_dataset(np_, ep)
     assert prepared.graph.node_count == 3
-    assert prepared.label_domain == ("ham", "spam")  # sorted
+    assert prepared.graph.label_domain == ("ham", "spam")  # sorted
     assert prepared.truth.tolist() == [1, 0, 1]
     assert prepared.graph.attributes.shape == (3, 3)
 
@@ -265,4 +265,4 @@ def test_prepare_dataset_drops_isolated_nodes(tmp_path):
     prepared = prepare_dataset(np_, ep)
     assert prepared.graph.node_count == 2
     assert list(prepared.ids) == ["n1", "n2"]
-    assert prepared.label_domain == ("a", "b")  # dropped node's class gone
+    assert prepared.graph.label_domain == ("a", "b")  # dropped node's class gone

@@ -18,7 +18,7 @@ def line_graph(n, known=None, n_classes=2, attr_dim=2):
     edges = [(i, i + 1) for i in range(n - 1)]
     attrs = np.arange(n * attr_dim, dtype=float).reshape(n, attr_dim)
     domain = tuple(f"c{k}" for k in range(n_classes))
-    return DataGraph.build(edges, attrs, domain, known_labels=known or {})
+    return DataGraph.build(edges, attrs, domain).with_known_labels(known or {})
 
 
 def test_build_symmetrizes_and_deduplicates():
@@ -26,7 +26,6 @@ def test_build_symmetrizes_and_deduplicates():
         [(0, 1), (1, 0), (0, 1), (1, 2), (2, 2)],
         np.zeros((3, 1)),
         ("a", "b"),
-        known_labels={0: 0},
     )
     assert g.node_count == 3
     assert list(g.degrees) == [1, 2, 1]
@@ -43,7 +42,8 @@ def test_build_rejects_isolated_nodes():
         DataGraph.build([(0, 1)], np.zeros((3, 1)), ("a", "b"))
 
 
-@pytest.mark.parametrize("entry", ["build", "with_known_labels"])
+# with_known_labels is the one way known labels enter a graph
+@pytest.mark.parametrize("entry", ["with_known_labels"])
 @pytest.mark.parametrize(
     "known, message",
     [({3: 0}, "out-of-range node 3"), ({-1: 0}, "out-of-range node -1"),
@@ -52,10 +52,7 @@ def test_build_rejects_isolated_nodes():
 )
 def test_known_labels_are_validated_by_every_entry_point(entry, known, message):
     with pytest.raises(ValueError, match=message):
-        if entry == "build":
-            line_graph(3, known=known)
-        else:
-            line_graph(3).with_known_labels(known)
+        getattr(line_graph(3), entry)(known)
 
 
 def test_known_label_bookkeeping():

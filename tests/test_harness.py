@@ -31,7 +31,7 @@ from hybridcc.learning import ClassifierSpec
 
 def chain_graph(n, known=None):
     edges = [(i, i + 1) for i in range(n - 1)]
-    return DataGraph.build(edges, np.zeros((n, 1)), ("a", "b"), known_labels=known or {})
+    return DataGraph.build(edges, np.zeros((n, 1)), ("a", "b")).with_known_labels(known or {})
 
 
 def tiny_config(small_dataset, tmp_path, **overrides):
@@ -64,6 +64,9 @@ def test_config_validation_messages():
         ExperimentConfig(densities=(1.5,), **base)
     with pytest.raises(ConfigError, match="duplicates"):
         ExperimentConfig(densities=(0.1, 0.1), **base)
+    # both print as 0.1, the form the report columns and rows use
+    with pytest.raises(ConfigError, match="duplicates"):
+        ExperimentConfig(densities=(0.1, 0.1000001), **base)
     with pytest.raises(ConfigError, match="unknown variant"):
         ExperimentConfig(variants=("em",), **base)
     with pytest.raises(ConfigError, match="duplicates"):
@@ -76,6 +79,9 @@ def test_config_validation_messages():
         ExperimentConfig(trials=0, **base)
     with pytest.raises(ConfigError, match="normalization"):
         ExperimentConfig(normalization="scale", **base)
+    # one fold has no training side, so it could never tune
+    with pytest.raises(ConfigError, match="cv_folds must be >= 2"):
+        ExperimentConfig(cv_folds=1, **base)
 
 
 def test_parse_config_round_trip(tmp_path):
@@ -170,7 +176,7 @@ def test_example_config_sets_every_field_to_its_written_value():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
 @pytest.mark.parametrize("entry", [
-    "sigma_grid", "alpha_grid", "spec_sigma_sq", "spec_nb_alpha",
+    "sigma_grid", "alpha_grid", "spec_nb_alpha",
     "lr_train", "lr_train_label_reg", "nb_relational_train",
 ])
 def test_hyperparameters_must_be_positive_and_finite(entry, value):
@@ -180,13 +186,12 @@ def test_hyperparameters_must_be_positive_and_finite(entry, value):
     calls = {
         "sigma_grid": lambda: ExperimentConfig(nodes_path="n", edges_path="e", sigma_grid=(1.0, value)),
         "alpha_grid": lambda: ExperimentConfig(nodes_path="n", edges_path="e", alpha_grid=(value,)),
-        "spec_sigma_sq": lambda: ClassifierSpec("lr+nb", sigma_sq=value),
         "spec_nb_alpha": lambda: ClassifierSpec("lr+nb", nb_alpha=value),
-        "lr_train": lambda: lr_train(X, y, value),
+        "lr_train": lambda: lr_train(X, y, value, 2),
         "lr_train_label_reg": lambda: lr_train_label_reg(
-            X, y, ones, X, ones, LabelRegConfig(np.array([0.5, 0.5]), 1.0), value,
+            X, y, ones, X, ones, LabelRegConfig(np.array([0.5, 0.5]), 1.0), value, 2,
         ),
-        "nb_relational_train": lambda: nb_relational_train(ones, y, value),
+        "nb_relational_train": lambda: nb_relational_train(ones, y, value, 2),
     }
     with pytest.raises(ValueError, match="positive"):
         calls[entry]()
@@ -525,16 +530,29 @@ def test_run_experiment_produces_full_grid(small_dataset, tmp_path):
     ]
 
 
-def test_run_experiment_pairs_the_known_sample(small_dataset, tmp_path):
+def test_run_experiment_pairs_the_known_sample(small_dataset, tmp_path, monkeypatch):
+    """Every cell of a trial runs on the known set its trial drew, and each
+    trial draws a different one."""
+    samples, cells = [], []
+    real_sample, real_cell = harness.sample_known, harness._run_cell
+
+    def sample(*args, **kwargs):
+        samples.append(real_sample(*args, **kwargs))
+        return samples[-1]
+
+    def cell(variant, spec, attr_model, trial_graph, *args):
+        cells.append((len(samples) - 1, trial_graph.known_nodes))
+        return real_cell(variant, spec, attr_model, trial_graph, *args)
+
+    monkeypatch.setattr(harness, "sample_known", sample)
+    monkeypatch.setattr(harness, "_run_cell", cell)
     cfg = tiny_config(small_dataset, tmp_path)
     results = run_experiment(cfg)
-    by_trial = {}
-    for r in results:
-        by_trial.setdefault((r.density, r.trial), set()).add(r.known_fingerprint)
-    for fingerprints in by_trial.values():
-        assert len(fingerprints) == 1  # every combo saw the same known set
-    distinct = {next(iter(v)) for v in by_trial.values()}
-    assert len(distinct) == 3  # and trials saw different ones
+    assert len(cells) == len(results) == 6
+    for trial, known in cells:
+        assert np.array_equal(known, samples[trial])  # the trial's own sample
+    assert sorted(trial for trial, _ in cells) == [0, 0, 1, 1, 2, 2]
+    assert len({s.tobytes() for s in samples}) == 3  # and trials drew different ones
 
 
 def test_run_experiment_is_byte_deterministic(small_dataset, tmp_path):

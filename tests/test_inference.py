@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridcc import inference
 from hybridcc.graph import DataGraph, LabelState, compute_proportion_features
-from hybridcc.inference import ica, iterate, wvrn_rl
+from hybridcc.inference import _wvrn_distributions, ica, iterate, wvrn_rl
 from hybridcc.learning import (
     ClassifierSpec,
     attr_only,
@@ -18,7 +19,7 @@ from hybridcc.learning import (
     variant_from_name,
 )
 from hybridcc.synthetic import synthetic_graph
-from reference_loops import first_repeat_period
+from reference_loops import SIGMA_SQ, first_repeat_period
 
 
 def homophilous_graph(seed=0):
@@ -55,15 +56,6 @@ def test_ica_config_validation():
         ica(tg, attribute_only_start(tg), UniformNodeModel(2), iterations=0)
 
 
-def test_wvrn_config_validation():
-    graph, truth = homophilous_graph()
-    tg = sparsely_label(graph, truth)
-    with pytest.raises(ValueError, match="max_iterations"):
-        wvrn_rl(tg, max_iterations=0)
-    with pytest.raises(ValueError, match="convergence_tol"):
-        wvrn_rl(tg, convergence_tol=0.0)
-
-
 def test_ica_keeps_known_labels_fixed():
     graph, truth = homophilous_graph()
     tg = sparsely_label(graph, truth)
@@ -90,7 +82,7 @@ def test_ica_is_deterministic():
     tg = sparsely_label(graph, truth)
     spec = ClassifierSpec("lr+lr")
     variant = variant_from_name("known-onepass")
-    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    m_a = fit_attribute_only(tg, 1.0)
     a = ssl_learn(tg, variant, spec, m_a)
     b = ssl_learn(tg, variant, spec, m_a)
     assert np.array_equal(a.labels, b.labels)
@@ -153,7 +145,7 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
                 graph, LabelState.from_graph(graph), within=graph.known_mask()
             )
             zero_rows += int(np.sum(~masked.any(axis=1)))
-        start = attr_only(graph, fit_attribute_only(graph, spec.sigma_sq))
+        start = attr_only(graph, fit_attribute_only(graph, SIGMA_SQ))
         for node_model, history in ica_runs:
             assert np.array_equal(start.labels, history[0])
             state = ica(graph, start, node_model, iterations=len(history) - 1)
@@ -183,30 +175,34 @@ def solve_clamped_average(graph):
 def six_node_two_seed_graph():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4)]
     attrs = np.zeros((6, 1))
-    return DataGraph.build(edges, attrs, ("a", "b"), known_labels={0: 0, 5: 1})
+    return DataGraph.build(edges, attrs, ("a", "b")).with_known_labels({0: 0, 5: 1})
 
 
-def test_wvrn_reaches_the_averaging_fixed_point():
+def sweep_to_convergence(monkeypatch):
+    """Let wvRN sweep until its largest change is below 1e-13."""
+    monkeypatch.setattr(inference, "WVRN_MAX_SWEEPS", 20000)
+    monkeypatch.setattr(inference, "WVRN_TOL", 1e-13)
+
+
+def test_wvrn_reaches_the_averaging_fixed_point(monkeypatch):
     g = six_node_two_seed_graph()
     want = solve_clamped_average(g)
-    state, dist = wvrn_rl(
-        g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True
-    )
+    sweep_to_convergence(monkeypatch)
+    dist = _wvrn_distributions(g)
     assert np.max(np.abs(dist - want)) < 1e-6
-    assert np.array_equal(state.labels, np.argmax(want, axis=1))
+    assert np.array_equal(wvrn_rl(g).labels, np.argmax(want, axis=1))
 
 
-def test_wvrn_path_graph_interpolates_linearly():
+def test_wvrn_path_graph_interpolates_linearly(monkeypatch):
     # 0(a) - 1 - 2 - 3 - 4 - 5(b): class-a mass decreases by 1/5 per hop
     edges = [(i, i + 1) for i in range(5)]
-    g = DataGraph.build(edges, np.zeros((6, 1)), ("a", "b"), known_labels={0: 0, 5: 1})
-    _, dist = wvrn_rl(
-        g, max_iterations=20000, convergence_tol=1e-13, return_distributions=True
-    )
+    g = DataGraph.build(edges, np.zeros((6, 1)), ("a", "b")).with_known_labels({0: 0, 5: 1})
+    sweep_to_convergence(monkeypatch)
+    dist = _wvrn_distributions(g)
     assert np.allclose(dist[:, 0], [1.0, 0.8, 0.6, 0.4, 0.2, 0.0], atol=1e-6)
 
 
-def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
+def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop(monkeypatch):
     """The sparse-product sweep is bit-identical to summing each class's
     neighbor mass with one bincount per class."""
     graph, truth = homophilous_graph(seed=4)
@@ -225,10 +221,9 @@ def test_wvrn_sweeps_equal_the_per_class_neighbor_sum_loop():
             sums = np.bincount(src, weights=want[g.neighbor_ids, k], minlength=n)
             mean[:, k] = sums * inv_degree
         want[unknown] = mean[unknown]
-    _, dist = wvrn_rl(
-        g, max_iterations=7, convergence_tol=1e-300, return_distributions=True
-    )
-    assert np.array_equal(dist, want)
+    monkeypatch.setattr(inference, "WVRN_MAX_SWEEPS", 7)
+    monkeypatch.setattr(inference, "WVRN_TOL", 1e-300)
+    assert np.array_equal(_wvrn_distributions(g), want)
 
 
 def test_wvrn_requires_knowns():
@@ -238,10 +233,14 @@ def test_wvrn_requires_knowns():
         wvrn_rl(g)
 
 
-def test_wvrn_prior_init_matches_known_label_frequencies():
+def test_wvrn_prior_init_matches_known_label_frequencies(monkeypatch):
     edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
-    g = DataGraph.build(edges, np.zeros((4, 1)), ("a", "b"), known_labels={0: 0, 1: 0, 2: 1})
+    g = DataGraph.build(edges, np.zeros((4, 1)), ("a", "b")).with_known_labels(
+        {0: 0, 1: 0, 2: 1}
+    )
     # the huge tolerance stops it after one sweep
-    _, dist = wvrn_rl(g, max_iterations=1, convergence_tol=1e30, return_distributions=True)
+    monkeypatch.setattr(inference, "WVRN_MAX_SWEEPS", 1)
+    monkeypatch.setattr(inference, "WVRN_TOL", 1e30)
+    dist = _wvrn_distributions(g)
     # node 3 neighbors 0 (known a) and 2 (known b): mean is (0.5, 0.5)
     assert np.allclose(dist[3], [0.5, 0.5])

@@ -1,5 +1,6 @@
 """Semi-supervised training loops, classifier specs, and baselines."""
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,7 @@ from hybridcc.learning import (
     variant_from_name,
 )
 from hybridcc.synthetic import synthetic_graph
-from reference_loops import first_repeat_period
+from reference_loops import SIGMA_SQ, first_repeat_period
 
 
 def labeled_graph(n=80, k=8, seed=0, homophily=0.85, noise=0.8):
@@ -69,11 +70,11 @@ def test_spec_autofills_reg_settings_only_for_reg_kinds(monkeypatch):
 
 
 def test_spec_predicates_and_stripping():
-    spec = ClassifierSpec("lr+nb+reg", sigma_sq=2.0, nb_alpha=0.5)
+    spec = ClassifierSpec("lr+nb+reg", nb_alpha=0.5)
     assert spec.regularized and spec.uses_nb and spec.hybrid
     bare = spec.without_label_reg()
     assert bare.kind == "lr+nb" and not bare.regularized
-    assert bare.sigma_sq == 2.0 and bare.nb_alpha == 0.5
+    assert bare.nb_alpha == 0.5
     assert not ClassifierSpec("lr").hybrid
     with pytest.raises(ValueError):
         ClassifierSpec("gbm")
@@ -139,7 +140,7 @@ def test_em_stops_early_with_the_full_budget_labeling(full_budget_runs):
     fixed points and 2-cycles."""
     periods = Counter()
     for graph, variant, spec, history, _ in full_budget_runs:
-        m_a = fit_attribute_only(graph, spec.sigma_sq)
+        m_a = fit_attribute_only(graph, SIGMA_SQ)
         if variant is None:
             state = no_ssl(graph, spec, m_a, ica_iterations=10)
         else:
@@ -153,7 +154,7 @@ def test_iterations_refresh_the_labeling():
     """EM must be able to move labels after the first pass."""
     tg, _ = labeled_graph(n=80, k=5, seed=6, noise=1.2)
     spec = ClassifierSpec("lr+lr")
-    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    m_a = fit_attribute_only(tg, 1.0)
     one = ssl_learn(tg, variant_from_name("all-onepass"), spec, m_a)
     em = ssl_learn(tg, variant_from_name("all-em"), spec, m_a)
     # not an invariant for every instance, but for this fixed one the
@@ -163,8 +164,7 @@ def test_iterations_refresh_the_labeling():
 
 def test_ssl_learn_with_no_unknowns_returns_known_state():
     edges = [(0, 1), (1, 2)]
-    g = DataGraph.build(edges, np.zeros((3, 2)), ("a", "b"),
-                        known_labels={0: 0, 1: 1, 2: 0})
+    g = DataGraph.build(edges, np.zeros((3, 2)), ("a", "b")).with_known_labels({0: 0, 1: 1, 2: 0})
     state = ssl_learn(g, variant_from_name("all-em"), ClassifierSpec("lr"),
                       fit_attribute_only(g, 1.0))
     assert state.labels.tolist() == [0, 1, 0]
@@ -183,7 +183,7 @@ def test_ica_iteration_count_is_configurable():
     tg, _ = labeled_graph(n=60, k=6, seed=8, noise=1.2)
     spec = ClassifierSpec("lr+nb")
     variant = variant_from_name("known-onepass")
-    m_a = fit_attribute_only(tg, spec.sigma_sq)
+    m_a = fit_attribute_only(tg, 1.0)
     a = ssl_learn(tg, variant, spec, m_a, ica_iterations=1)
     b = ssl_learn(tg, variant, spec, m_a, ica_iterations=10)
     # fixed instance chosen so the extra inference rounds matter
@@ -250,14 +250,25 @@ def test_known_trained_unregularized_hybrids_share_the_attribute_model(monkeypat
     assert len(members) == 1 and members[0] is m_a
 
 
-def test_attribute_model_under_another_sigma_sq_is_rejected():
-    tg, _ = labeled_graph(n=40, k=6, seed=5)
-    m_a = fit_attribute_only(tg, 1.0)
-    spec = ClassifierSpec("lr+nb", sigma_sq=10.0)
-    with pytest.raises(ValueError, match="sigma_sq"):
-        ssl_learn(tg, variant_from_name("known-onepass"), spec, m_a)
-    with pytest.raises(ValueError, match="sigma_sq"):
-        no_ssl(tg, spec, m_a)
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_every_fit_uses_the_attribute_models_sigma_sq(monkeypatch, kind):
+    """The prior variance reaches the learners only through the
+    attribute-only model: every logistic regression fitted inside
+    ``ssl_learn`` and ``no_ssl`` uses its ``sigma_sq``."""
+    tg, _ = labeled_graph(n=60, k=6, seed=2)
+    m_a = fit_attribute_only(tg, 3.0)
+    used = []
+    for name in ("lr_train", "lr_train_label_reg"):
+        def spy(*args, _real=getattr(learning, name), **kwargs):
+            used.append(inspect.signature(_real).bind(*args, **kwargs).arguments["sigma_sq"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(learning, name, spy)
+    spec = ClassifierSpec(kind)
+    for name in SSL_VARIANT_NAMES:
+        ssl_learn(tg, variant_from_name(name, em_iterations=2), spec, m_a)
+    no_ssl(tg, spec, m_a)
+    assert used and set(used) == {3.0}
 
 
 # -------------------------------------------------------------- baselines
@@ -286,7 +297,7 @@ def test_attr_only_ignores_edges():
     rng = np.random.default_rng(0)
     perm = rng.permutation(40)
     rewired = [(int(perm[i]), int(perm[(i + 1) % 40])) for i in range(40)]
-    g2 = DataGraph.build(rewired, tg.attributes, tg.label_domain, dict(tg.known_labels))
+    g2 = DataGraph.build(rewired, tg.attributes, tg.label_domain).with_known_labels(tg.known_labels)
     state2 = attr_only(g2, fit_attribute_only(g2, 1.0))
     assert np.array_equal(state.labels, state2.labels)
 

@@ -74,7 +74,7 @@ def test_written_files_load_back_identically(tmp_path):
     nodes, edges = write_dataset(str(tmp_path), data)
     prepared = prepare_dataset(nodes, edges, normalization="none")
     assert prepared.graph.node_count == 50
-    assert prepared.label_domain == data.label_domain
+    assert prepared.graph.label_domain == data.label_domain
     assert np.array_equal(prepared.truth, data.labels)
     assert np.allclose(prepared.graph.attributes, data.attributes)
 
