@@ -26,6 +26,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.optimize import minimize
 
+from ._rows import each_column, each_row, row_max, row_sum
+
 __all__ = [
     "ConvergenceWarning",
     "LRModel",
@@ -97,7 +99,8 @@ class LabelRegConfig:
     ``target_dist`` is the class distribution the trained model's average
     prediction over unlabeled nodes should resemble; it must be proper with
     strictly positive entries. ``lam`` weighs the penalty against the data
-    likelihood (the classic choice is 10x the number of supervised nodes).
+    likelihood and must be finite and >= 0 (the classic choice is 10x the
+    number of supervised nodes).
     ``epsilon_floor``, the constant ``EPSILON_FLOOR`` rather than a field,
     guards the divisions by the model's average predicted probability
     early in training.
@@ -111,10 +114,10 @@ class LabelRegConfig:
         target = np.asarray(self.target_dist, dtype=float)
         if target.ndim != 1 or target.size < 2:
             raise ValueError("target_dist must be a 1-D distribution over >= 2 classes")
-        if np.any(target <= 0) or abs(target.sum() - 1.0) > 1e-8:
+        if not np.all(target > 0) or abs(target.sum() - 1.0) > 1e-8:
             raise ValueError("target_dist must be strictly positive and sum to 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and >= 0")
         object.__setattr__(self, "target_dist", target)
 
 
@@ -132,13 +135,14 @@ def _with_bias(X):
 
 
 def _log_softmax(logits):
-    # A column loop takes the row max of a few columns far faster than
-    # max(axis=1), and max is exact in any order.
-    peak = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(peak, logits[:, j], out=peak)
-    shifted = logits - peak[:, None]
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of a C-ordered (rows x classes) array.
+
+    Gives the bits of ``shifted - log(exp(shifted).sum(axis=1,
+    keepdims=True))`` with ``shifted = logits - logits.max(axis=1,
+    keepdims=True)``, one class column at a time (see ``_rows``).
+    """
+    shifted = each_row(np.subtract, logits, row_max(logits))
+    return each_row(np.subtract, shifted, np.log(row_sum(np.exp(shifted))), out=shifted)
 
 
 def _log_proba(weights, Xb, log_beta=None):
@@ -292,7 +296,8 @@ def _nb_log_posterior(model: NBRelationalModel, counts) -> np.ndarray:
         raise ValueError("counts must be a matrix with one column per class")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    return _log_softmax(counts @ np.log(model.neighbor_table).T + np.log(model.class_prior))
+    scores = counts @ np.log(model.neighbor_table).T
+    return _log_softmax(each_column(np.add, scores, np.log(model.class_prior), out=scores))
 
 
 def nb_relational_predict(model: NBRelationalModel, counts) -> np.ndarray:
@@ -327,13 +332,19 @@ def hybrid_combine(log_p_attr, log_p_rel, prior) -> np.ndarray:
     """
     log_p_attr = np.asarray(log_p_attr, dtype=float)
     log_p_rel = np.asarray(log_p_rel, dtype=float)
-    prior = np.asarray(prior, dtype=float)
-    if np.any(prior <= 0):
-        raise ValueError("prior entries must be strictly positive")
+    prior = _check_prior(prior, "prior")
     shape = log_p_attr.shape
     if len(shape) != 2 or log_p_rel.shape != shape or shape[1] != prior.size:
         raise ValueError("distribution shapes disagree")
-    return np.exp(_log_softmax(log_p_attr + log_p_rel - np.log(prior)))
+    scores = log_p_attr + log_p_rel
+    return np.exp(_log_softmax(each_column(np.subtract, scores, np.log(prior), out=scores)))
+
+
+def _check_prior(prior, name):
+    prior = np.asarray(prior, dtype=float)
+    if not np.all((prior > 0) & (prior < np.inf)):
+        raise ValueError(f"{name} entries must be finite and strictly positive")
+    return prior
 
 
 @dataclass(frozen=True)
@@ -343,8 +354,8 @@ class HybridModel:
     ``relational_model`` is either an ``LRModel`` over proportion features
     or an ``NBRelationalModel`` over multiset counts, and ``reads_counts``
     says which of the two the relational rows must be. ``prior`` is the
-    class distribution divided out by the product rule and must be
-    strictly positive.
+    class distribution divided out by the product rule; its entries must
+    be finite and strictly positive.
     """
 
     attribute_model: LRModel
@@ -352,10 +363,7 @@ class HybridModel:
     prior: np.ndarray
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float)
-        if np.any(prior <= 0):
-            raise ValueError("hybrid prior entries must be strictly positive")
-        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "prior", _check_prior(self.prior, "hybrid prior"))
 
     @property
     def reads_counts(self) -> bool:
@@ -417,12 +425,14 @@ def _label_reg_value_grad(weights, Xb_unl, log_beta_unl, target):
 
         sum_rows  x_k p(y|x) / n_rows * ( sum_y' r_y' p(y'|x) - r_y )
 
-    where ``p`` is the beta-weighted softmax of the current weights.
+    where ``p`` is the beta-weighted softmax of the current weights. The
+    value is ``kl_penalty(target, mean-prediction)``, computed from the
+    same ratios: ``target`` is strictly positive (``LabelRegConfig``
+    checks it), so ``kl_penalty`` keeps every entry.
     """
     P = np.exp(_log_proba(weights, Xb_unl, log_beta_unl))
-    mean_pred = P.mean(axis=0)
-    value = kl_penalty(target, mean_pred)
-    ratios = target / np.maximum(mean_pred, EPSILON_FLOOR)
+    ratios = target / np.maximum(P.mean(axis=0), EPSILON_FLOOR)
+    value = float(np.sum(target * np.log(ratios)))
     row_mix = P @ ratios
     weighted = P * (row_mix[:, None] - ratios[None, :])
     grad = (weighted.T @ Xb_unl) / Xb_unl.shape[0]

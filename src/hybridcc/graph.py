@@ -23,6 +23,8 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import coo_array, csr_array
 
+from ._rows import each_row, row_sum
+
 __all__ = [
     "DataGraph",
     "LabelState",
@@ -181,15 +183,18 @@ def compute_multiset_features(graph: DataGraph, state: LabelState, within=None) 
     (used when only a trusted subset of labels may contribute); masked-out
     neighbors are ignored entirely.
     """
-    n = graph.node_count
-    if len(state.labels) != n:
+    n_classes = state.n_classes
+    labels = state.labels
+    if len(labels) != graph.node_count:
         raise ValueError("label state does not match graph size")
-    contributing = np.arange(n) if within is None else np.flatnonzero(within)
-    labels = state.labels[contributing]
+    table_rows = n_classes
+    if within is not None:
+        # Masked-out nodes look up the extra, all-zero last row of the table.
+        labels = np.where(within, labels, n_classes)
+        table_rows += 1
     if labels.size and labels.min() < 0:
         raise ValueError("relational features require labels on all contributing nodes")
-    onehot = np.zeros((n, state.n_classes), dtype=np.int64)
-    onehot[contributing, labels] = 1
+    onehot = np.eye(table_rows, n_classes, dtype=np.int64).take(labels, axis=0)
     return graph.adjacency @ onehot
 
 
@@ -199,16 +204,12 @@ def compute_proportion_features(graph: DataGraph, state: LabelState, within=None
     Row i is the normalized label histogram of node i's neighborhood, so
     entries lie in [0, 1] and sum to 1. With a ``within`` mask the histogram
     is taken over the unmasked neighbors only, and a node with no unmasked
-    neighbor gets an all-zero row. The integer row sums are taken column by
-    column, which is exact and far faster than ``sum(axis=1)`` over a few
-    columns.
+    neighbor gets an all-zero row.
     """
     counts = compute_multiset_features(graph, state, within)
-    denom = counts[:, 0].copy()
-    for j in range(1, counts.shape[1]):
-        denom += counts[:, j]
-    denom = denom[:, None]
-    return np.divide(counts, denom, out=np.zeros(counts.shape), where=denom > 0)
+    # A row with no contributing neighbor holds only zeros, which stay 0.0
+    # when divided by 1.
+    return each_row(np.divide, counts, np.maximum(row_sum(counts), 1))
 
 
 def class_prior(graph: DataGraph, smoothing: float = 1.0) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._rows import each_row, row_argmax
 from .classifiers import lr_predict_proba  # noqa: F401 -- perfbench/tracing.py patches this name here
 from .graph import (
     DataGraph,
@@ -66,10 +67,12 @@ def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -
     Each of the ``iterations`` rounds computes the feature kind the node
     model reads from the complete current labeling and reassigns every
     unknown node synchronously (all predictions use the round's incoming
-    labels). Ties in the per-node argmax go to the lowest class index. A
+    labels). Ties in the per-node argmax go to the lowest class index,
+    and a node whose probabilities hold a NaN raises ``ValueError``. A
     round is a deterministic function of its incoming labeling, so the
     rounds stop at the first repeated labeling (a fixed point or a cycle)
-    and return the labeling the full budget would reach.
+    and return the labeling the full budget would reach. The per-class
+    arithmetic of a round runs one class column at a time (see ``_rows``).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -84,7 +87,7 @@ def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -
     def round_(state):
         state = state.copy()
         proba = predict(compute_features(graph, state)[unknown])
-        state.set_predicted(np.argmax(proba, axis=1))
+        state.set_predicted(row_argmax(proba))
         return state
 
     return iterate(round_, start, iterations)
@@ -103,13 +106,18 @@ def wvrn_rl(graph: DataGraph) -> LabelState:
     index on ties.
     """
     state = LabelState.from_graph(graph)
-    state.set_predicted(np.argmax(_wvrn_distributions(graph)[graph.unknown_nodes], axis=1))
+    state.set_predicted(row_argmax(_wvrn_distributions(graph)[graph.unknown_nodes]))
     return state
 
 
 def _wvrn_distributions(graph: DataGraph) -> np.ndarray:
     """The (nodes x classes) matrix ``wvrn_rl`` takes its argmax from,
-    known rows one-hot."""
+    known rows one-hot.
+
+    The 0/1 adjacency is converted to float once per call (the sparse
+    product would otherwise recast its integer entries on every sweep), and
+    each sweep scales the neighbor sums by the inverse degree one class
+    column at a time (see ``_rows``)."""
     if not graph.known_labels:
         raise ValueError("relational-only inference needs at least one known label")
     unknown = graph.unknown_nodes
@@ -120,10 +128,12 @@ def _wvrn_distributions(graph: DataGraph) -> np.ndarray:
         return dist
     dist[unknown] = class_prior(graph, smoothing=0.0)
 
+    adjacency = graph.adjacency.astype(float)
     inv_degree = 1.0 / graph.degrees.astype(float)
 
     for _ in range(WVRN_MAX_SWEEPS):
-        updated = ((graph.adjacency @ dist) * inv_degree[:, None])[unknown]
+        sums = adjacency @ dist
+        updated = each_row(np.multiply, sums, inv_degree, out=sums)[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))
         dist[unknown] = updated
         if delta < WVRN_TOL:

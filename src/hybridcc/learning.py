@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._rows import row_argmax
 from .classifiers import (
     ConcatLRModel,
     HybridModel,
@@ -272,5 +273,5 @@ def attr_only(graph: DataGraph, attr_model: LRModel) -> LabelState:
     relational features, no loop."""
     state = LabelState.from_graph(graph)
     proba = lr_predict_proba(attr_model, graph.attributes[graph.unknown_nodes])
-    state.set_predicted(np.argmax(proba, axis=1))
+    state.set_predicted(row_argmax(proba))
     return state

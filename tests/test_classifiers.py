@@ -190,6 +190,16 @@ def test_hybrid_combine_rejects_zero_prior():
         hybrid_combine(np.log([[0.5, 0.5]]), np.log([[0.5, 0.5]]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_priors_must_be_finite_and_positive(bad):
+    """A NaN prior would turn every posterior into NaN rows."""
+    prior = np.array([bad, 0.5])
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        hybrid_combine(np.log([[0.5, 0.5]]), np.log([[0.5, 0.5]]), prior)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        HybridModel(make_lr(np.zeros((2, 2))), make_lr(np.zeros((2, 3))), prior)
+
+
 def test_hybrid_model_dispatches_on_member_type():
     rng = np.random.default_rng(3)
     attrs = rng.normal(size=(6, 2))
@@ -279,13 +289,49 @@ LOGITS = st.one_of(
 )
 
 
+def broadcast_log_softmax(logits):
+    """The row-wise log-softmax as NumPy broadcasts and reductions."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 @settings(max_examples=300, deadline=None)
 @given(logits=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(2, 12)), elements=LOGITS))
 def test_log_softmax_equals_the_row_max_form(logits):
-    """The column-loop row max gives the bits of ``max(axis=1)``."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    want = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    assert np.array_equal(_log_softmax(logits), want)
+    """The class-column log-softmax gives the values of the broadcast form."""
+    assert np.array_equal(_log_softmax(logits), broadcast_log_softmax(logits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), c=st.integers(2, 12))
+def test_class_column_paths_equal_their_broadcast_forms(seed, n, c):
+    """The Naive Bayes posterior, the product rule and the label-regularization
+    penalty give the bits of their broadcast (and ``kl_penalty``) forms."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, size=(n, c))
+    nb = nb_relational_train(counts, rng.integers(0, c, size=n), alpha=0.5, n_classes=c)
+    want = broadcast_log_softmax(
+        counts @ np.log(nb.neighbor_table).T + np.log(nb.class_prior)
+    )
+    assert np.array_equal(classifiers._nb_log_posterior(nb, counts), want)
+
+    log_a = np.log(rng.dirichlet(np.ones(c), size=n))
+    log_r = np.log(rng.dirichlet(np.ones(c), size=n))
+    prior = rng.dirichlet(np.ones(c))
+    want = np.exp(broadcast_log_softmax(log_a + log_r - np.log(prior)))
+    assert np.array_equal(hybrid_combine(log_a, log_r, prior), want)
+
+    weights = rng.normal(scale=2.0, size=(c, 4))
+    Xb = with_bias(rng.normal(size=(n, 3)))
+    log_beta = np.log(rng.uniform(0.1, 3.0, size=(n, c)))
+    target = rng.dirichlet(np.ones(c))
+    P = np.exp(broadcast_log_softmax(Xb @ weights.T + log_beta))
+    mean_pred = P.mean(axis=0)
+    ratios = target / np.maximum(mean_pred, classifiers.EPSILON_FLOOR)
+    weighted = P * ((P @ ratios)[:, None] - ratios[None, :])
+    value, grad = _label_reg_value_grad(weights, Xb, log_beta, target)
+    assert value == kl_penalty(target, mean_pred)
+    assert np.array_equal(grad, (weighted.T @ Xb) / n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -390,6 +436,11 @@ def test_label_reg_config_validation():
         LabelRegConfig(target_dist=np.array([1.0, 0.0]), lam=1.0)  # zero entry
     with pytest.raises(ValueError):
         LabelRegConfig(target_dist=np.array([0.5, 0.5]), lam=-1.0)
+    with pytest.raises(ValueError, match="target_dist"):
+        LabelRegConfig(target_dist=np.array([np.nan, 1.0]), lam=1.0)  # abs(nan - 1) > 1e-8 is False
+    for lam in (np.nan, np.inf):  # a NaN lam would silently drop the penalty
+        with pytest.raises(ValueError, match="lam"):
+            LabelRegConfig(target_dist=np.array([0.5, 0.5]), lam=lam)
 
 
 def _reg_instance(seed=7, n_known=12, n_unl=40, d=3, c=3):

@@ -37,15 +37,17 @@ def attribute_only_start(graph):
 
 
 class UniformNodeModel:
-    """Ignores all features; used to pin down tie-breaking."""
+    """Ignores all features and gives every class ``value`` (by default
+    ``1 / n_classes``); used to pin down tie-breaking."""
 
     reads_counts = False
 
-    def __init__(self, n_classes):
+    def __init__(self, n_classes, value=None):
         self.n_classes = n_classes
+        self.value = 1.0 / n_classes if value is None else value
 
     def given_attributes(self, attributes):
-        uniform = np.full((attributes.shape[0], self.n_classes), 1.0 / self.n_classes)
+        uniform = np.full((attributes.shape[0], self.n_classes), self.value)
         return lambda relational: uniform
 
 
@@ -75,6 +77,14 @@ def test_ica_leaves_its_start_state_unchanged():
     state = ica(tg, start, UniformNodeModel(2), iterations=3)
     assert not np.array_equal(state.labels, before)  # the rounds did relabel
     assert np.array_equal(start.labels, before)
+
+
+def test_ica_rejects_nan_probabilities():
+    """np.argmax would label every such node with its first NaN column."""
+    graph, truth = homophilous_graph()
+    tg = sparsely_label(graph, truth)
+    with pytest.raises(ValueError, match="NaN"):
+        ica(tg, attribute_only_start(tg), UniformNodeModel(2, value=np.nan))
 
 
 def test_ica_is_deterministic():
