@@ -6,9 +6,11 @@ counts, wvRN distributions) is a C-ordered (rows x classes) array with a
 few class columns and thousands of rows. NumPy runs the inner loop of
 ``a.sum(axis=1)``, ``np.argmax(a, axis=1)`` or ``a - v[:, None]`` along a
 row, that is over the few classes, once per row, so most of the time goes
-to loop set-up. The kernels here instead loop over the class columns in
-Python and hand each column (a strided view of ``rows`` entries) to one
-ufunc call, so every inner loop runs over all rows. Outputs stay
+to loop set-up. The kernels here make every inner loop run down a class
+column over all rows instead: the broadcasts (``each_row``,
+``each_column``) are one ufunc call in Fortran iteration order
+(``order="F"``) writing into a C-ordered ``out``, and the reductions loop
+over the class columns in Python, one ufunc call per column. Outputs stay
 C-ordered, so matrix products downstream see the same layout as before.
 
 Elementwise work and comparisons do not depend on the order of the loops,
@@ -17,7 +19,7 @@ a C-contiguous array NumPy adds each row with its pairwise summation,
 starting from the reduction's identity 0. ``row_sum`` copies that order
 column by column:
 
-* below 8 columns, one running sum from 0 over the columns in turn;
+* below 8 columns, one running sum over the columns in turn;
 * from 8 to 128 columns, eight running sums ``r0..r7``, where ``rj`` takes
   columns ``j, j+8, j+16, ...`` up to the last whole block of eight,
   combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover
@@ -27,6 +29,10 @@ column by column:
   multiple of 8;
 
 and finally the sum is added to 0, which turns ``-0.0`` into ``0.0``.
+(NumPy starts a running sum of fewer than 8 columns at 0; starting it at
+the first column changes only the sign of a zero sum, which that last add
+settles.) The datasets and benchmarks here have 2 to 7 classes, so only
+the first branch runs in them; the others keep wider class domains exact.
 Property tests in ``tests/test_rows.py`` hold each kernel to its NumPy
 expression, the row sum bit for bit in every branch above.
 """
@@ -55,8 +61,8 @@ def row_max(a: np.ndarray) -> np.ndarray:
 def _pairwise_sum(a, lo, n):
     """Sum of columns ``lo .. lo + n - 1`` of every row, in NumPy's order."""
     if n < _UNROLL:
-        total = np.zeros(a.shape[0], dtype=a.dtype)
-        for j in range(lo, lo + n):
+        total = a[:, lo].copy()
+        for j in range(lo + 1, lo + n):
             total += a[:, j]
         return total
     if n <= _BLOCK:
@@ -99,21 +105,13 @@ def row_argmax(a: np.ndarray) -> np.ndarray:
     return index
 
 
-def each_row(ufunc, a: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
-    """``ufunc(a, v[:, None])``: row ``i`` of ``a`` combined with ``v[i]``.
-    ``out`` may be ``a`` itself."""
-    if out is None:
-        out = np.empty(a.shape, dtype=ufunc.resolve_dtypes((a.dtype, v.dtype, None))[-1])
-    for j in range(a.shape[1]):
-        ufunc(a[:, j], v, out=out[:, j])
-    return out
+def each_row(ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``ufunc(a, v[:, None])`` written into ``out``, which may be ``a``:
+    row ``i`` of ``a`` combined with ``v[i]``."""
+    return ufunc(a, v[:, None], out=out, order="F")
 
 
-def each_column(ufunc, a: np.ndarray, r: np.ndarray, out=None) -> np.ndarray:
-    """``ufunc(a, r[None, :])``: column ``j`` of ``a`` combined with
-    ``r[j]``. ``out`` may be ``a`` itself."""
-    if out is None:
-        out = np.empty(a.shape, dtype=ufunc.resolve_dtypes((a.dtype, r.dtype, None))[-1])
-    for j in range(a.shape[1]):
-        ufunc(a[:, j], r[j], out=out[:, j])
-    return out
+def each_column(ufunc, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``ufunc(a, r[None, :])`` written into ``a``: column ``j`` of ``a``
+    combined with ``r[j]``."""
+    return ufunc(a, r[None, :], out=a, order="F")

@@ -141,8 +141,8 @@ def _log_softmax(logits):
     keepdims=True))`` with ``shifted = logits - logits.max(axis=1,
     keepdims=True)``, one class column at a time (see ``_rows``).
     """
-    shifted = each_row(np.subtract, logits, row_max(logits))
-    return each_row(np.subtract, shifted, np.log(row_sum(np.exp(shifted))), out=shifted)
+    shifted = each_row(np.subtract, logits, row_max(logits), np.empty(logits.shape))
+    return each_row(np.subtract, shifted, np.log(row_sum(np.exp(shifted))), shifted)
 
 
 def _log_proba(weights, Xb, log_beta=None):
@@ -297,7 +297,7 @@ def _nb_log_posterior(model: NBRelationalModel, counts) -> np.ndarray:
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     scores = counts @ np.log(model.neighbor_table).T
-    return _log_softmax(each_column(np.add, scores, np.log(model.class_prior), out=scores))
+    return _log_softmax(each_column(np.add, scores, np.log(model.class_prior)))
 
 
 def nb_relational_predict(model: NBRelationalModel, counts) -> np.ndarray:
@@ -337,7 +337,7 @@ def hybrid_combine(log_p_attr, log_p_rel, prior) -> np.ndarray:
     if len(shape) != 2 or log_p_rel.shape != shape or shape[1] != prior.size:
         raise ValueError("distribution shapes disagree")
     scores = log_p_attr + log_p_rel
-    return np.exp(_log_softmax(each_column(np.subtract, scores, np.log(prior), out=scores)))
+    return np.exp(_log_softmax(each_column(np.subtract, scores, np.log(prior))))
 
 
 def _check_prior(prior, name):

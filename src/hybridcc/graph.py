@@ -209,7 +209,7 @@ def compute_proportion_features(graph: DataGraph, state: LabelState, within=None
     counts = compute_multiset_features(graph, state, within)
     # A row with no contributing neighbor holds only zeros, which stay 0.0
     # when divided by 1.
-    return each_row(np.divide, counts, np.maximum(row_sum(counts), 1))
+    return each_row(np.divide, counts, np.maximum(row_sum(counts), 1), np.empty(counts.shape))
 
 
 def class_prior(graph: DataGraph, smoothing: float = 1.0) -> np.ndarray:

@@ -133,7 +133,7 @@ def _wvrn_distributions(graph: DataGraph) -> np.ndarray:
 
     for _ in range(WVRN_MAX_SWEEPS):
         sums = adjacency @ dist
-        updated = each_row(np.multiply, sums, inv_degree, out=sums)[unknown]
+        updated = each_row(np.multiply, sums, inv_degree, sums)[unknown]
         delta = float(np.max(np.abs(updated - dist[unknown])))
         dist[unknown] = updated
         if delta < WVRN_TOL:

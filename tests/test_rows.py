@@ -78,12 +78,16 @@ def test_each_row_and_each_column_equal_the_broadcasts(rows, columns, seed):
     v = mixed_floats(rng, rows)
     r = mixed_floats(rng, columns)
     with np.errstate(all="ignore"):
-        assert same_bits(each_row(np.subtract, a, v), a - v[:, None])
-        assert same_bits(each_row(np.multiply, a, v), a * v[:, None])
-        assert same_bits(each_column(np.add, a, r), a + r[None, :])
-        assert same_bits(each_column(np.subtract, a, r), a - r[None, :])
+        assert same_bits(each_row(np.subtract, a, v, np.empty(a.shape)), a - v[:, None])
+        assert same_bits(each_row(np.multiply, a, v, np.empty(a.shape)), a * v[:, None])
+        for ufunc in (np.add, np.subtract):
+            in_place = a.copy()
+            assert each_column(ufunc, in_place, r) is in_place
+            assert same_bits(in_place, ufunc(a, r[None, :]))
         in_place = a.copy()
-        assert same_bits(each_row(np.subtract, in_place, v, out=in_place), a - v[:, None])
+        assert same_bits(each_row(np.subtract, in_place, v, in_place), a - v[:, None])
+        assert in_place.flags.c_contiguous
     counts = rng.integers(0, 5, size=(rows, columns))
     denom = np.maximum(counts.sum(axis=1), 1)
-    assert same_bits(each_row(np.divide, counts, denom), counts / denom[:, None])
+    got = each_row(np.divide, counts, denom, np.empty(counts.shape))
+    assert same_bits(got, counts / denom[:, None])
