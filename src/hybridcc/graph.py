@@ -9,10 +9,12 @@ labels currently assigned to a node's neighborhood, either as fractions of
 the neighborhood (for vector-based classifiers) or as raw per-class counts
 (for classifiers that treat each neighbor label as one observation).
 
-The graph keeps its topology in one form, a sparse 0/1 adjacency matrix,
-and every neighbor aggregation is a product with it: per-class neighbor
-counts are ``adjacency @ onehot(labels)``, and relational-only propagation
-averages ``adjacency @ dist`` by degree.
+The graph keeps its topology in one form, a sparse 0/1 adjacency matrix.
+Neighbor aggregations over a whole labeling are products with it: per-class
+neighbor counts are ``adjacency @ onehot(labels)``, and relational-only
+propagation averages ``adjacency @ dist`` by degree. ``inference.ica``
+counts once per call this way and then updates the counts by the nodes
+whose label changed, reading their neighbors from the same CSR arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "LabelState",
     "compute_proportion_features",
     "compute_multiset_features",
+    "neighbor_proportions",
     "class_prior",
 ]
 
@@ -178,10 +181,11 @@ class LabelState:
 def compute_multiset_features(graph: DataGraph, state: LabelState, within=None) -> np.ndarray:
     """Per-node count of neighbors carrying each class label.
 
-    Returns an integer (nodes x classes) matrix; row sums equal node degree.
-    ``within`` optionally restricts the neighborhood to a boolean node mask
-    (used when only a trusted subset of labels may contribute); masked-out
-    neighbors are ignored entirely.
+    Returns an integer (nodes x classes) matrix. ``within`` optionally
+    restricts the neighborhood to a boolean node mask (used when only a
+    trusted subset of labels may contribute); masked-out neighbors are
+    ignored entirely. Without ``within`` each row sums to the node's degree,
+    with it to the node's number of unmasked neighbors.
     """
     n_classes = state.n_classes
     labels = state.labels
@@ -206,7 +210,12 @@ def compute_proportion_features(graph: DataGraph, state: LabelState, within=None
     is taken over the unmasked neighbors only, and a node with no unmasked
     neighbor gets an all-zero row.
     """
-    counts = compute_multiset_features(graph, state, within)
+    return neighbor_proportions(compute_multiset_features(graph, state, within))
+
+
+def neighbor_proportions(counts: np.ndarray) -> np.ndarray:
+    """Integer neighbor-label counts, each row divided by its sum, as a new
+    float (rows x classes) array; the rows need not be all the graph's."""
     # A row with no contributing neighbor holds only zeros, which stay 0.0
     # when divided by 1.
     return each_row(np.divide, counts, np.maximum(row_sum(counts), 1), np.empty(counts.shape))

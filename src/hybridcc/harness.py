@@ -29,6 +29,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 from scipy import special
 
+from ._rows import row_argmax
 from .graph import DataGraph, LabelState, class_prior
 from .inference import wvrn_rl
 from .classifiers import lr_predict_proba, lr_train
@@ -333,7 +334,7 @@ def cross_validate_hyperparams(graph: DataGraph, sigma_grid, alpha_grid, folds, 
         for train, held_out in usable:
             for s in sigma_grid:
                 model = lr_train(attrs[train], labels[train], s, n_classes=graph.n_classes)
-                pred = np.argmax(lr_predict_proba(model, attrs[held_out]), axis=1)
+                pred = row_argmax(lr_predict_proba(model, attrs[held_out]))
                 hits[s] += int(np.sum(pred == labels[held_out]))
         sigma = _pick_best(sigma_grid, hits)
 

@@ -4,9 +4,11 @@ Two procedures:
 
 * ``ica``: iterative classification. Starting from a given labeling of
   the unknown nodes (the learner passes the attribute-only one), up to a
-  fixed number of synchronous rounds recompute the relational feature
-  kind the node model reads from the current labeling and re-predict the
-  unknown nodes with the full node model. Known labels are never touched.
+  fixed number of synchronous rounds re-predict the unknown nodes with
+  the full node model from their neighbors' current labels. The
+  neighbor-label counts are computed once per call and then updated by
+  the nodes each round relabeled, so a round costs the degree sum of
+  those nodes rather than every edge. Known labels are never touched.
 * ``wvrn_rl``: a no-learning baseline. Each node holds a class
   distribution; known nodes are clamped one-hot and every sweep replaces
   each unknown node's distribution with the mean of its neighbors'.
@@ -23,8 +25,9 @@ from .graph import (
     LabelState,
     class_prior,
     compute_multiset_features,
-    compute_proportion_features,
+    neighbor_proportions,
 )
+from .graph import compute_proportion_features  # noqa: F401 -- perfbench/tracing.py patches this name here
 
 __all__ = ["ica", "iterate", "wvrn_rl"]
 
@@ -64,33 +67,85 @@ def ica(graph: DataGraph, start: LabelState, node_model, iterations: int = 10) -
     ``given_attributes(attributes)``, its class probabilities as a function
     of the relational rows alone; ``ica`` calls it once, so a hybrid's
     attribute member is evaluated once per call, not once per round.
-    Each of the ``iterations`` rounds computes the feature kind the node
-    model reads from the complete current labeling and reassigns every
+    Each of the ``iterations`` rounds gives the node model the feature
+    kind it reads for the complete current labeling and reassigns every
     unknown node synchronously (all predictions use the round's incoming
-    labels). Ties in the per-node argmax go to the lowest class index,
-    and a node whose probabilities hold a NaN raises ``ValueError``. A
-    round is a deterministic function of its incoming labeling, so the
-    rounds stop at the first repeated labeling (a fixed point or a cycle)
-    and return the labeling the full budget would reach. The per-class
-    arithmetic of a round runs one class column at a time (see ``_rows``).
+    labels). The unknown nodes' neighbor-label counts are computed from
+    ``start`` once and then updated by the nodes whose label changed (see
+    ``_counts_following``); proportions are those counts divided per row
+    (``graph.neighbor_proportions``). Counts are integers, so the features
+    equal ``compute_multiset_features`` and ``compute_proportion_features``
+    of each round's labeling exactly. Ties in the per-node argmax go to
+    the lowest class index, and a node whose probabilities hold a NaN
+    raises ``ValueError``. A round is a deterministic function of its
+    incoming labeling, so the rounds stop at the first repeated labeling
+    (a fixed point or a cycle) and return the labeling the full budget
+    would reach. The per-class arithmetic of a round runs one class column
+    at a time (see ``_rows``).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     unknown = graph.unknown_nodes
     if unknown.size == 0:
         return start
-    compute_features = (
-        compute_multiset_features if node_model.reads_counts else compute_proportion_features
-    )
+    counts_of = _counts_following(graph, start)
     predict = node_model.given_attributes(graph.attributes[unknown])
 
     def round_(state):
+        counts = counts_of(state)
+        proba = predict(counts if node_model.reads_counts else neighbor_proportions(counts))
         state = state.copy()
-        proba = predict(compute_features(graph, state)[unknown])
         state.set_predicted(row_argmax(proba))
         return state
 
     return iterate(round_, start, iterations)
+
+
+def _counts_following(graph: DataGraph, start: LabelState):
+    """Return ``counts_of(state)``, which gives
+    ``compute_multiset_features(graph, state)[graph.unknown_nodes]`` for
+    any labeling ``state`` of ``graph``, starting from ``start``'s.
+
+    The counts are computed for ``start`` once, and each call adds only
+    the contribution of the nodes whose label differs from the labeling
+    counted last: -1 at (neighbor, old label) and +1 at (neighbor, new
+    label) for every neighbor, as two ``np.bincount`` calls over flat
+    ``row * n_classes + label`` keys, which sum repeated keys (a node with
+    several changed neighbors). The neighbors are read from the changed
+    nodes' slices of ``adjacency.indices``; known neighbors map to one
+    extra spill row that nothing reads, so that every key is kept without
+    a mask. A call costs the degree sum of the changed nodes, not every
+    edge. The returned array is a view that the next call overwrites.
+    """
+    unknown = graph.unknown_nodes
+    n_classes = graph.n_classes
+    counts = np.zeros((unknown.size + 1, n_classes), dtype=np.int64)
+    counts[:-1] = compute_multiset_features(graph, start)[unknown]
+    flat = counts.reshape(-1)
+    row_key = np.full(graph.node_count, unknown.size * n_classes)
+    row_key[unknown] = np.arange(0, unknown.size * n_classes, n_classes)
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
+    degrees = graph.degrees
+    counted = start.labels.copy()
+
+    def counts_of(state):
+        moved = np.flatnonzero(state.labels != counted)
+        if moved.size:
+            degree = degrees[moved]
+            ends = np.cumsum(degree)
+            # Positions indptr[v] .. indptr[v + 1] - 1 of each moved node v, in a row.
+            entries = np.repeat(indptr[moved] - (ends - degree), degree)
+            entries += np.arange(ends[-1])
+            keys = row_key[indices[entries]]
+            new, old = state.labels[moved], counted[moved]
+            gained = np.bincount(keys + np.repeat(new, degree), minlength=flat.size)
+            lost = np.bincount(keys + np.repeat(old, degree), minlength=flat.size)
+            np.add(flat, gained, out=flat)
+            np.subtract(flat, lost, out=flat)
+            counted[moved] = new
+        return counts[:-1]
+
+    return counts_of
 
 
 def wvrn_rl(graph: DataGraph) -> LabelState:

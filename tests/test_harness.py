@@ -270,6 +270,19 @@ def test_cv_alpha_skipped_without_nb(monkeypatch):
     assert sigma == 1.0 and alpha is None
 
 
+def test_cv_rejects_a_nan_posterior(monkeypatch):
+    """np.argmax would score a held-out node with a NaN posterior as class 0."""
+    g = chain_graph(30, known={0: 0, 5: 1, 10: 0, 15: 1, 20: 0, 25: 1})
+
+    def one_nan_row(model, features):
+        proba = np.full((features.shape[0], 2), 0.5)
+        proba[0] = np.nan
+        return proba
+
+    monkeypatch.setattr(harness, "lr_predict_proba", one_nan_row)
+    with pytest.raises(ValueError, match="NaN"):
+        cross_validate_hyperparams(g, (0.1, 1.0), None, folds=3, seed=0)
+
 def test_cv_returns_values_from_the_grids(small_dataset):
     nodes, edges = small_dataset
     prepared = prepare_dataset(nodes, edges)

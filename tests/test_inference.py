@@ -9,17 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcc import inference
-from hybridcc.graph import DataGraph, LabelState, compute_proportion_features
-from hybridcc.inference import _wvrn_distributions, ica, iterate, wvrn_rl
+from hybridcc.graph import (
+    DataGraph,
+    LabelState,
+    class_prior,
+    compute_multiset_features,
+    compute_proportion_features,
+)
+from hybridcc.inference import _counts_following, _wvrn_distributions, ica, iterate, wvrn_rl
 from hybridcc.learning import (
     ClassifierSpec,
+    _train_node_model,
     attr_only,
     fit_attribute_only,
     ssl_learn,
     variant_from_name,
 )
 from hybridcc.synthetic import synthetic_graph
-from reference_loops import SIGMA_SQ, first_repeat_period
+from reference_loops import (
+    SIGMA_SQ,
+    attribute_model,
+    first_repeat_period,
+    full_budget_ica,
+)
 
 
 def homophilous_graph(seed=0):
@@ -164,6 +176,130 @@ def test_ica_stops_early_with_the_full_budget_labeling(full_budget_runs):
     assert periods[1] > 0 and periods[2] > 0, periods
     assert zero_rows > 0
 
+
+@st.composite
+def hub_graphs(draw):
+    """A graph on 3-30 nodes whose node 0, always unknown, is adjacent to at
+    least three quarters of the others, with 2-12 classes, some known
+    nodes, and a complete start labeling."""
+    n = draw(st.integers(3, 30))
+    n_classes = draw(st.integers(2, 12))
+    off_hub = draw(st.sets(st.integers(1, n - 1), max_size=(n - 1) // 4))
+    edges = [(0, i) for i in range(1, n) if i not in off_hub]
+    edges += [(i, i + 1 if i + 1 < n else i - 1) for i in off_hub]  # no isolated node
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2 * n))
+    known = draw(st.sets(st.integers(1, n - 1), max_size=n - 2))
+    label = st.integers(0, n_classes - 1)
+    graph = DataGraph.build(edges, np.zeros((n, 1)), [str(c) for c in range(n_classes)])
+    graph = graph.with_known_labels({i: draw(label) for i in known})
+    start = LabelState.from_graph(graph)
+    start.set_predicted(draw(st.lists(label, min_size=n - len(known), max_size=n - len(known))))
+    return graph, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hub_graphs(), data=st.data())
+def test_count_updates_equal_the_full_count_after_each_relabeling(case, data):
+    """The hub collects repeated keys whenever two of its neighbors change
+    to the same label in one step."""
+    graph, state = case
+    unknown = graph.unknown_nodes
+    counts_of = _counts_following(graph, state)
+    assert np.array_equal(counts_of(state), compute_multiset_features(graph, state)[unknown])
+    for _ in range(data.draw(st.integers(1, 6))):
+        state = state.copy()
+        labels = state.labels[unknown]
+        picks = data.draw(st.lists(st.integers(0, unknown.size - 1), unique=True))
+        labels[picks] = data.draw(st.lists(
+            st.integers(0, graph.n_classes - 1), min_size=len(picks), max_size=len(picks)
+        ))
+        state.set_predicted(labels)
+        assert np.array_equal(counts_of(state), compute_multiset_features(graph, state)[unknown])
+
+
+def seven_class_graph():
+    graph, truth = synthetic_graph(150, 7, 0.75, 1.5, seed=0, avg_degree=4.0)
+    return sparsely_label(graph, truth, k=12, seed=2), truth
+
+
+def graph_with_a_hub():
+    """A 2-class graph plus edges from its unknown node 0 to two thirds of
+    the other nodes."""
+    graph, truth = synthetic_graph(120, 2, 0.8, 2.0, seed=2, avg_degree=4.0)
+    edges = np.column_stack(graph.adjacency.nonzero()).tolist()
+    edges += [(0, i) for i in range(1, 120) if i % 3]
+    graph = DataGraph.build(edges, graph.attributes, graph.label_domain)
+    picks = np.random.default_rng(3).choice(np.arange(1, 120), size=12, replace=False)
+    return graph.with_known_labels({int(i): int(truth[i]) for i in picks}), truth
+
+
+def trained_node_model(graph, truth, kind):
+    """A node model trained on every node's true label, so that its
+    relational member is strong and ICA rounds keep relabeling nodes."""
+    state = LabelState.from_graph(graph)
+    state.set_predicted(truth[graph.unknown_nodes])
+    return _train_node_model(
+        graph, state, ClassifierSpec(kind), attribute_model(graph), True, class_prior(graph)
+    )
+
+
+@pytest.mark.parametrize("kind", ["lr+nb", "lr+lr"])
+@pytest.mark.parametrize("make_graph", [seven_class_graph, graph_with_a_hub], ids=["7-class", "hub"])
+def test_ica_equals_the_full_budget_loop(make_graph, kind):
+    """Counts kept by per-change updates give the labeling of the loop that
+    computes both feature kinds afresh every round, with more classes than
+    the fixture's 2 and with a node adjacent to most others."""
+    graph, truth = make_graph()
+    node_model = trained_node_model(graph, truth, kind)
+    assert node_model.reads_counts == (kind == "lr+nb")
+    _, history = full_budget_ica(graph, node_model, 10)
+    assert all(np.any(history[k] != history[k + 1]) for k in range(4))
+    start = attr_only(graph, fit_attribute_only(graph, SIGMA_SQ))
+    assert np.array_equal(ica(graph, start, node_model).labels, history[-1])
+
+
+class RoundCounter:
+    """Wraps a node model and counts the rounds that evaluate it."""
+
+    def __init__(self, model):
+        self.model = model
+        self.reads_counts = model.reads_counts
+        self.rounds = 0
+
+    def given_attributes(self, attributes):
+        predict = self.model.given_attributes(attributes)
+
+        def counted(relational):
+            self.rounds += 1
+            return predict(relational)
+
+        return counted
+
+
+@pytest.mark.parametrize("kind", ["lr+nb", "lr+lr"])
+@pytest.mark.parametrize("iterations", [1, 3, 6])
+def test_ica_counts_neighbor_labels_once_per_call(monkeypatch, kind, iterations):
+    """The counts are computed once, from the start labeling; no round
+    recomputes either feature kind, however many rounds run."""
+    graph, truth = seven_class_graph()
+    node_model = RoundCounter(trained_node_model(graph, truth, kind))
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(inference, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference, name, counted)
+
+    spy("compute_multiset_features")
+    spy("compute_proportion_features")
+    ica(graph, attr_only(graph, fit_attribute_only(graph, SIGMA_SQ)), node_model, iterations)
+    assert node_model.rounds == iterations
+    assert calls == {"compute_multiset_features": 1}
 
 def solve_clamped_average(graph):
     """Direct linear-system solution of the neighbor-averaging fixed point."""
