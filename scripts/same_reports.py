@@ -9,6 +9,9 @@ The inputs are generated once, by ``OLD_SRC``'s generator:
 * ``--em-reg`` graphs of the benchmark's ``em_reg`` shape, each run with
   that workload's grid;
 * ``--ica-large`` graphs of the ``ica_large`` shape, with its grid;
+* one graph of the ``em_reg`` shape but with 10 classes, run with that
+  workload's grid, so that the check reaches rows of 8 or more class
+  columns, which no other input has;
 * the paper-shaped graph ``generate_dataset(2708, 7, 0.81, 0.3, 11,
   avg_degree=3.9, attr_dim=100)``, run for one trial at density 0.03 with
   all 7 variants x 5 classifier kinds, default CV grids, master seed 3.
@@ -37,6 +40,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 EM_REG_SEED = 31_010_000
 ICA_LARGE_SEED = 31_020_000
+TEN_CLASS_SEED = 31_030_000
 PAPER = {
     "data": {"n_nodes": 2708, "n_classes": 7, "homophily": 0.81, "attr_noise": 0.3,
              "seed": 11, "avg_degree": 3.9, "attr_dim": 100},
@@ -61,6 +65,12 @@ def inputs(em_reg: int, ica_large: int, tiny: bool) -> list[dict]:
                 "data": {**workload.data_params(tiny), "seed": seed},
                 "grid": {**workload.grid_params(tiny), "master_seed": seed},
             })
+    em_reg = WORKLOADS["em_reg"]
+    found.append({
+        "name": f"em_reg-10-classes-{TEN_CLASS_SEED}",
+        "data": {**em_reg.data_params(tiny), "n_classes": 10, "seed": TEN_CLASS_SEED},
+        "grid": {**em_reg.grid_params(tiny), "master_seed": TEN_CLASS_SEED},
+    })
     shrink = PAPER_TINY if tiny else {"data": {}, "grid": {}}
     found.append({
         "name": "paper",

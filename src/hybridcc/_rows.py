@@ -16,25 +16,15 @@ C-ordered, so matrix products downstream see the same layout as before.
 Elementwise work and comparisons do not depend on the order of the loops,
 and maxima only in the sign of a zero. A floating-point row sum does: for
 a C-contiguous array NumPy adds each row with its pairwise summation,
-starting from the reduction's identity 0. ``row_sum`` copies that order
-column by column:
-
-* below 8 columns, one running sum over the columns in turn;
-* from 8 to 128 columns, eight running sums ``r0..r7``, where ``rj`` takes
-  columns ``j, j+8, j+16, ...`` up to the last whole block of eight,
-  combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the leftover
-  columns added in turn;
-* above 128 columns, the first ``n2`` and the other columns summed
-  separately and added, with ``n2`` half the columns rounded down to a
-  multiple of 8;
-
-and finally the sum is added to 0, which turns ``-0.0`` into ``0.0``.
-(NumPy starts a running sum of fewer than 8 columns at 0; starting it at
-the first column changes only the sign of a zero sum, which that last add
-settles.) The datasets and benchmarks here have 2 to 7 classes, so only
-the first branch runs in them; the others keep wider class domains exact.
-Property tests in ``tests/test_rows.py`` hold each kernel to its NumPy
-expression, the row sum bit for bit in every branch above.
+starting from the reduction's identity 0. Below 8 columns that is one
+running sum over the columns in turn, which ``row_sum`` repeats column by
+column and then adds to 0, turning ``-0.0`` into ``0.0``. (NumPy starts
+the running sum at 0; starting it at the first column changes only the
+sign of a zero sum, which that last add settles.) From 8 columns on,
+where NumPy's order has several accumulators, ``row_sum`` is
+``a.sum(axis=1)`` itself. The datasets and benchmarks here have 2 to 7
+classes. Property tests in ``tests/test_rows.py`` hold each kernel to its
+NumPy expression, the row sum bit for bit at every width.
 """
 
 from __future__ import annotations
@@ -43,9 +33,8 @@ import numpy as np
 
 __all__ = ["row_max", "row_sum", "row_argmax", "each_row", "each_column"]
 
-# NumPy's pairwise summation: unroll width and largest unsplit block.
+# Below this many columns NumPy sums a row in one running sum.
 _UNROLL = 8
-_BLOCK = 128
 
 
 def row_max(a: np.ndarray) -> np.ndarray:
@@ -58,33 +47,16 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _pairwise_sum(a, lo, n):
-    """Sum of columns ``lo .. lo + n - 1`` of every row, in NumPy's order."""
-    if n < _UNROLL:
-        total = a[:, lo].copy()
-        for j in range(lo + 1, lo + n):
-            total += a[:, j]
-        return total
-    if n <= _BLOCK:
-        r = [a[:, lo + j].copy() for j in range(_UNROLL)]
-        whole = n - n % _UNROLL
-        for i in range(_UNROLL, whole, _UNROLL):
-            for j in range(_UNROLL):
-                r[j] += a[:, lo + i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for j in range(lo + whole, lo + n):
-            total += a[:, j]
-        return total
-    n2 = n // 2
-    n2 -= n2 % _UNROLL
-    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
-
-
 def row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` of a C-contiguous array, bit for bit (see the
-    module docstring for the order)."""
-    total = _pairwise_sum(a, 0, a.shape[1])
-    total += 0  # the reduction's identity
+    """``a.sum(axis=1)`` of a C-contiguous array, bit for bit: below 8
+    columns one running sum down the class columns, then added to the
+    reduction's identity 0; from 8 columns on, ``a.sum(axis=1)`` itself."""
+    if a.shape[1] >= _UNROLL:
+        return a.sum(axis=1)
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    total += 0
     return total
 
 

@@ -5,8 +5,8 @@ CSV reports, ``validate`` prepares a dataset pair as ``run`` does and
 reports its size without running anything, and ``gen-synthetic`` writes a
 generated dataset in the loader's format.
 
-Exit codes: 0 success, 1 bad configuration, 2 bad data, 3 every trial
-failed at runtime.
+Exit codes: 0 success, 1 bad configuration (including outputs that
+cannot be written), 2 bad data, 3 every trial failed at runtime.
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ def _cmd_run(args) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        print(f"config error: cannot write reports: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     failed = sum(1 for r in results if r.status == "error")
     print(
@@ -113,7 +116,11 @@ def _cmd_gen_synthetic(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    node_path, edge_path = write_dataset(args.out, data)
+    try:
+        node_path, edge_path = write_dataset(args.out, data)
+    except OSError as exc:
+        print(f"config error: cannot write dataset: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"wrote {node_path} and {edge_path} "
           f"({data.node_count} nodes, {data.edges.shape[0]} edges)")
     return EXIT_OK

@@ -12,9 +12,7 @@ Reports are two CSV files. ``trials.csv`` has one row per (density, trial,
 variant, classifier) with the measured accuracy and diagnostics.
 ``summary.csv`` has one row per (variant, classifier) with mean accuracy
 per density and a significance mark against the first row. Both are
-byte-deterministic for a fixed config and master seed; per-trial wall
-times are kept on the in-memory results only, since they would break that
-determinism.
+byte-deterministic for a fixed config and master seed.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import time
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -207,11 +204,7 @@ def parse_config_file(path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Outcome of one (density, trial, variant, classifier) cell.
-
-    ``wall_time_s`` is kept for in-process inspection only and never
-    written to the CSV reports.
-    """
+    """Outcome of one (density, trial, variant, classifier) cell."""
 
     density: float
     trial: int
@@ -223,7 +216,6 @@ class TrialResult:
     degenerate: bool
     status: str = "ok"
     note: str = ""
-    wall_time_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -508,7 +500,6 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                 except Exception as exc:  # noqa: BLE001 - trial isolation
                     failure = exc
             for variant, kind in combos:
-                start = time.perf_counter()
                 sigma = alpha = None
                 try:
                     if variant == "relat-only":
@@ -536,7 +527,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> list[TrialResult]
                     density=density, trial=trial, variant=variant,
                     classifier=kind, accuracy=acc, sigma_sq=sigma,
                     nb_alpha=alpha, degenerate=degenerate, status=status,
-                    note=note, wall_time_s=time.perf_counter() - start,
+                    note=note,
                 ))
                 if progress is not None:
                     shown = "error" if acc is None else f"{acc:.4f}"

@@ -125,6 +125,33 @@ def test_run_uncreatable_output_dir_exits_1_before_any_trial(tmp_path, small_dat
     assert "density" not in err  # no progress line: no trial ran
 
 
+def test_gen_synthetic_onto_a_file_exits_1_without_a_traceback(tmp_path, capsys):
+    """``--out`` naming an existing file used to end in a FileExistsError
+    traceback."""
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    rc = main([
+        "gen-synthetic", "--nodes", "30", "--classes", "2", "--homophily", "0.7",
+        "--attr-noise", "1.0", "--seed", "3", "--out", str(blocker),
+    ])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+
+
+def test_run_unwritable_report_exits_1_without_a_traceback(tmp_path, small_dataset, capsys):
+    """A directory named trials.csv in output_dir used to end in an
+    IsADirectoryError traceback after the whole grid had run."""
+    nodes, edges = small_dataset
+    (tmp_path / "reports" / "trials.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, nodes, edges, trials="1")
+    assert main(["run", "--config", cfg, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+
+
 def test_run_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from hybridcc._rows import each_column, each_row, row_argmax, row_max, row_sum
 
-# Column counts at and around every branch of NumPy's pairwise summation
-# (sequential below 8, eight accumulators up to 128, halves above).
+# Column counts at and around the 8 where row_sum leaves its own running
+# sum for ``a.sum(axis=1)``, and at and around the other branches of
+# NumPy's pairwise summation (eight accumulators up to 128, halves above).
 EDGE_COLUMNS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 256, 257, 300]
 
 

@@ -31,7 +31,7 @@ def test_same_reports_passes_on_one_tree_and_names_a_changed_report(tmp_path):
     src = SCRIPTS.parent / "src"
     tiny = ["--tiny", "--em-reg", 1, "--ica-large", 1]
     out = run_script("same_reports.py", src, src, *tiny, "--work", tmp_path / "same")
-    assert "6 reports byte-identical over 3 inputs" in out
+    assert "8 reports byte-identical over 4 inputs" in out
 
     patched = tmp_path / "patched"
     shutil.copytree(src, patched, ignore=shutil.ignore_patterns("__pycache__"))
